@@ -459,7 +459,9 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	hasher := cfg.hasher()
+	// The sites filter with the router's own hasher, so each arrival is
+	// hashed once: the digest that picks the shard feeds the site's filter.
+	hasher := router.Hasher()
 	newSite := func(shard int) netsim.SiteNode {
 		if cfg.window > 0 {
 			return sliding.NewSite(cfg.SiteID, hasher, cfg.window, uint64(cfg.SiteID*1000+shard)+1)

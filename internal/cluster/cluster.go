@@ -82,6 +82,11 @@ func NewRangeRouter(table RangeTable, hasher hashing.UnitHasher) (*ShardRouter, 
 // Shards returns the number of live shard slots.
 func (r *ShardRouter) Shards() int { return r.table.NumRanges() }
 
+// Hasher returns the hash function the router digests keys with. Site nodes
+// built over it filter on the digest a SiteClient computes to route, instead
+// of hashing each key again.
+func (r *ShardRouter) Hasher() hashing.UnitHasher { return r.hasher }
+
 // Table returns the router's (initial) range table.
 func (r *ShardRouter) Table() RangeTable { return r.table.clone() }
 

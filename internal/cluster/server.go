@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hashing"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -150,12 +151,12 @@ func (s *Server) MergedSample(sampleSize int) []netsim.SampleEntry {
 // renews, then by force-promoting the next member — Options.RetryMax and
 // Options.RetryBase set that policy.
 type SiteClient struct {
-	routeHash func(string) uint64
-	newSite   func(shard int) netsim.SiteNode
-	opts      wire.Options
-	table     RangeTable
-	groups    [][]string   // slot-indexed member addresses (nil = retired slot)
-	shards    []*shardConn // slot-indexed; nil for slots never dialed
+	hasher  hashing.UnitHasher // the router's: digests pick shards
+	newSite func(shard int) netsim.SiteNode
+	opts    wire.Options
+	table   RangeTable
+	groups  [][]string   // slot-indexed member addresses (nil = retired slot)
+	shards  []*shardConn // slot-indexed; nil for slots never dialed
 
 	// pendingRoute is the cross-goroutine mailbox of the reshard driver;
 	// routeVer publishes the applied table version and closed the client's
@@ -186,6 +187,7 @@ type shardConn struct {
 	members []string // member addresses in promotion order
 	primary int      // index of the member currently believed primary
 	node    netsim.SiteNode
+	digest  bool // node filters on the router's digest (see takesDigest)
 	client  *wire.SiteClient
 	// retiredSent/retiredReceived carry the message counters of connections
 	// replaced by failover, so MessagesSent/MessagesReceived span the
@@ -222,12 +224,12 @@ func DialGroups(groups [][]string, router *ShardRouter, newSite func(shard int) 
 		return nil, fmt.Errorf("cluster: %d shard groups for a router whose table names slot %d", len(groups), table.MaxSlot())
 	}
 	c := &SiteClient{
-		routeHash: router.RouteHash,
-		newSite:   newSite,
-		opts:      opts,
-		table:     table,
-		groups:    cloneGroups(groups),
-		shards:    make([]*shardConn, len(groups)),
+		hasher:  router.hasher,
+		newSite: newSite,
+		opts:    opts,
+		table:   table,
+		groups:  cloneGroups(groups),
+		shards:  make([]*shardConn, len(groups)),
 	}
 	c.routeVer.Store(c.table.Version)
 	// Fold coordinator-initiated route pushes into the same mailbox the
@@ -262,7 +264,8 @@ func DialGroups(groups [][]string, router *ShardRouter, newSite func(shard int) 
 // failover walk when the primary is already dead (e.g. a fresh site joining
 // mid-outage — there is no unacked state to replay yet).
 func (c *SiteClient) dialShard(slot int, members []string) error {
-	sc := &shardConn{members: members, node: c.newSite(slot)}
+	node := c.newSite(slot)
+	sc := &shardConn{members: members, node: node, digest: c.takesDigest(node)}
 	if len(members) > 1 {
 		sc.primary = currentPrimary(members, c.opts.Codec)
 	}
@@ -279,6 +282,18 @@ func (c *SiteClient) dialShard(slot int, members []string) error {
 	}
 	return err
 }
+
+// takesDigest reports whether node may filter on the digest Observe already
+// computed to route: it has a digest entry point and hashes with the
+// router's hash function. It is decided once per node, which failover and
+// reconnect carry over; every other node hashes the key itself.
+func (c *SiteClient) takesDigest(node netsim.SiteNode) bool {
+	dn, ok := node.(netsim.DigestSite)
+	return ok && hashing.Same(dn.Hasher(), c.hasher)
+}
+
+// routeHash is the router's RouteHash, over the digest of key.
+func (c *SiteClient) routeHash(key string) uint64 { return hashing.Mix64(c.hasher.Hash(key)) }
 
 // routeUpdateFromPush decodes a route-push frame into a RouteUpdate, or nil
 // when the frame does not carry a valid table (a malformed push is dropped,
@@ -846,12 +861,18 @@ func (c *SiteClient) repartitionSiteState() error {
 	return nil
 }
 
-// Observe routes one element observation to its owning shard.
+// Observe routes one element observation to its owning shard. The key is
+// hashed once: its digest picks the shard, as in RouteHash, and is handed on
+// to a site node that filters with the same hash function.
 func (c *SiteClient) Observe(key string, slot int64) error {
 	if err := c.maybeApplyRoute(); err != nil {
 		return err
 	}
-	shard := c.table.Lookup(c.routeHash(key))
+	d := c.hasher.Hash(key)
+	shard := c.table.Lookup(hashing.Mix64(d))
+	if c.shards[shard].digest {
+		return c.do(shard, func(client *wire.SiteClient) error { return client.ObserveDigest(key, d, slot) })
+	}
 	return c.do(shard, func(client *wire.SiteClient) error { return client.Observe(key, slot) })
 }
 

@@ -54,11 +54,25 @@ func (s *InfiniteSite) ID() int { return s.id }
 // invariant checks).
 func (s *InfiniteSite) Threshold() float64 { return s.u }
 
+// Hasher implements netsim.DigestSite: the hash function the site filters
+// with.
+func (s *InfiniteSite) Hasher() hashing.UnitHasher { return s.hasher }
+
 // OnArrival implements netsim.SiteNode: if h(e) < u_i (and, unless the site
 // is naive, e has not been offered before), send e and its hash to the
 // coordinator.
 func (s *InfiniteSite) OnArrival(key string, _ int64, out *netsim.Outbox) {
-	h := s.hasher.Unit(key)
+	s.arrive(key, s.hasher.Unit(key), out)
+}
+
+// OnDigest implements netsim.DigestSite: OnArrival for a key whose digest
+// under the site's hasher is d.
+func (s *InfiniteSite) OnDigest(key string, d uint64, _ int64, out *netsim.Outbox) {
+	s.arrive(key, hashing.ToUnit(d), out)
+}
+
+// arrive is Algorithm 1's filter for key, whose unit hash is h.
+func (s *InfiniteSite) arrive(key string, h float64, out *netsim.Outbox) {
 	if h >= s.u {
 		return
 	}
@@ -70,6 +84,8 @@ func (s *InfiniteSite) OnArrival(key string, _ int64, out *netsim.Outbox) {
 	}
 	out.ToCoordinator(netsim.Message{Kind: netsim.KindOffer, Key: key, Hash: h})
 }
+
+var _ netsim.DigestSite = (*InfiniteSite)(nil)
 
 // OnMessage implements netsim.SiteNode: the coordinator's reply refreshes
 // the local threshold, and offered keys that can no longer beat it are

@@ -11,15 +11,22 @@ const (
 
 // Murmur2Sum64 computes the MurmurHash2-64A digest of data under the given
 // seed.
-func Murmur2Sum64(data []byte, seed uint64) uint64 {
+func Murmur2Sum64(data []byte, seed uint64) uint64 { return murmur2(data, seed) }
+
+// Murmur2String64 computes the same digest as Murmur2Sum64 over the bytes of
+// s, read in place: hashing a string key copies nothing.
+func Murmur2String64(s string, seed uint64) uint64 { return murmur2(s, seed) }
+
+// murmur2 is the one MurmurHash2-64A kernel behind both entry points. It is
+// the main cost of ingest: the site filter drops almost every arrival right
+// after this hash.
+func murmur2[T string | []byte](data T, seed uint64) uint64 {
 	h := seed ^ uint64(len(data))*murmur2M
 
-	n := len(data)
 	// Body: process 8-byte blocks.
-	for ; n >= 8; n -= 8 {
+	for ; len(data) >= 8; data = data[8:] {
 		k := uint64(data[0]) | uint64(data[1])<<8 | uint64(data[2])<<16 | uint64(data[3])<<24 |
 			uint64(data[4])<<32 | uint64(data[5])<<40 | uint64(data[6])<<48 | uint64(data[7])<<56
-		data = data[8:]
 
 		k *= murmur2M
 		k ^= k >> murmur2R
@@ -30,7 +37,7 @@ func Murmur2Sum64(data []byte, seed uint64) uint64 {
 	}
 
 	// Tail: up to 7 trailing bytes.
-	switch n {
+	switch len(data) {
 	case 7:
 		h ^= uint64(data[6]) << 48
 		fallthrough
@@ -58,18 +65,4 @@ func Murmur2Sum64(data []byte, seed uint64) uint64 {
 	h *= murmur2M
 	h ^= h >> murmur2R
 	return h
-}
-
-// Murmur2String64 is a convenience wrapper hashing a string without copying
-// it through an intermediate buffer in the common small-string case.
-func Murmur2String64(s string, seed uint64) uint64 {
-	// Strings in this codebase are short element identifiers (IP pairs,
-	// e-mail address pairs); a stack-backed copy avoids unsafe tricks while
-	// staying allocation-free for keys up to 64 bytes.
-	var buf [64]byte
-	if len(s) <= len(buf) {
-		n := copy(buf[:], s)
-		return Murmur2Sum64(buf[:n], seed)
-	}
-	return Murmur2Sum64([]byte(s), seed)
 }

@@ -25,7 +25,23 @@ func fmix64(k uint64) uint64 {
 // the given 32-bit style seed (the reference implementation takes a uint32
 // seed; we accept uint64 and use it directly for both lanes, which preserves
 // the avalanche properties).
-func Murmur3Sum128(data []byte, seed uint64) (uint64, uint64) {
+func Murmur3Sum128(data []byte, seed uint64) (uint64, uint64) { return murmur3(data, seed) }
+
+// Murmur3Sum64 returns the low 64 bits of the 128-bit MurmurHash3 digest.
+func Murmur3Sum64(data []byte, seed uint64) uint64 {
+	h1, _ := murmur3(data, seed)
+	return h1
+}
+
+// Murmur3String64 computes the same digest as Murmur3Sum64 over the bytes of
+// s, read in place.
+func Murmur3String64(s string, seed uint64) uint64 {
+	h1, _ := murmur3(s, seed)
+	return h1
+}
+
+// murmur3 is the one MurmurHash3-x64-128 kernel behind every entry point.
+func murmur3[T string | []byte](data T, seed uint64) (uint64, uint64) {
 	h1 := seed
 	h2 := seed
 	total := len(data)
@@ -128,21 +144,4 @@ func Murmur3Sum128(data []byte, seed uint64) (uint64, uint64) {
 	h2 += h1
 
 	return h1, h2
-}
-
-// Murmur3Sum64 returns the low 64 bits of the 128-bit MurmurHash3 digest.
-func Murmur3Sum64(data []byte, seed uint64) uint64 {
-	h1, _ := Murmur3Sum128(data, seed)
-	return h1
-}
-
-// Murmur3String64 hashes a string with the same small-key optimization as
-// Murmur2String64.
-func Murmur3String64(s string, seed uint64) uint64 {
-	var buf [64]byte
-	if len(s) <= len(buf) {
-		n := copy(buf[:], s)
-		return Murmur3Sum64(buf[:n], seed)
-	}
-	return Murmur3Sum64([]byte(s), seed)
 }

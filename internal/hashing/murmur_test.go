@@ -53,7 +53,7 @@ func TestMurmur2LastByteMatters(t *testing.T) {
 }
 
 func TestMurmur2StringMatchesBytes(t *testing.T) {
-	keys := []string{"", "a", "short", "exactly-eight!!!", "a considerably longer key that exceeds the 64-byte stack buffer used by the string fast path, to force the slow path"}
+	keys := []string{"", "a", "short", "exactly-eight!!!", "a considerably longer key that runs to well over sixty-four bytes, so the kernel hashes many full blocks"}
 	for _, k := range keys {
 		if got, want := Murmur2String64(k, 99), Murmur2Sum64([]byte(k), 99); got != want {
 			t.Errorf("Murmur2String64(%q) = %x, want %x", k, got, want)
@@ -157,7 +157,7 @@ func TestMurmurUnitUniformity(t *testing.T) {
 		buckets = 16
 		n       = 16000
 	)
-	for _, kind := range []Kind{KindMurmur2, KindMurmur3, KindMix} {
+	for _, kind := range []Kind{KindMurmur2, KindMurmur3} {
 		h := New(kind, 777)
 		counts := make([]int, buckets)
 		for i := 0; i < n; i++ {

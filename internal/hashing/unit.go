@@ -35,9 +35,6 @@ const (
 	KindMurmur2 Kind = iota
 	// KindMurmur3 selects MurmurHash3-x64-128 (low lane).
 	KindMurmur3
-	// KindMix selects the SplitMix64 finalizer applied to Murmur2; it is the
-	// cheapest option and is used by throughput micro-benchmarks.
-	KindMix
 )
 
 // String implements fmt.Stringer for Kind.
@@ -47,8 +44,6 @@ func (k Kind) String() string {
 		return "murmur2"
 	case KindMurmur3:
 		return "murmur3"
-	case KindMix:
-		return "mix64"
 	default:
 		return "unknown"
 	}
@@ -76,8 +71,6 @@ func (h *Hasher) Hash(key string) uint64 {
 	switch h.kind {
 	case KindMurmur3:
 		return Murmur3String64(key, h.seed)
-	case KindMix:
-		return Mix64(Murmur2String64(key, h.seed))
 	default:
 		return Murmur2String64(key, h.seed)
 	}
@@ -91,6 +84,17 @@ func (h *Hasher) Seed() uint64 { return h.seed }
 
 // Kind returns the hasher's digest algorithm.
 func (h *Hasher) Kind() Kind { return h.kind }
+
+// Same reports whether a and b compute the same digest for every key: they
+// are one instance, or Hashers of one kind and seed. A digest computed under
+// one may then stand in for the other's.
+func Same(a, b UnitHasher) bool {
+	if x, ok := a.(*Hasher); ok {
+		y, ok := b.(*Hasher)
+		return ok && x.kind == y.kind && x.seed == y.seed
+	}
+	return a == b
+}
 
 // Family is an ordered collection of independent UnitHashers sharing a
 // master seed. Sampling with replacement runs s parallel single-element

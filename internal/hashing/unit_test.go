@@ -76,7 +76,7 @@ func TestSeedSequenceEmpty(t *testing.T) {
 }
 
 func TestHasherKinds(t *testing.T) {
-	for _, kind := range []Kind{KindMurmur2, KindMurmur3, KindMix} {
+	for _, kind := range []Kind{KindMurmur2, KindMurmur3} {
 		h := New(kind, 9)
 		if h.Seed() != 9 {
 			t.Errorf("kind %v: Seed() = %d, want 9", kind, h.Seed())
@@ -99,7 +99,7 @@ func TestHasherKinds(t *testing.T) {
 }
 
 func TestHasherKindString(t *testing.T) {
-	cases := map[Kind]string{KindMurmur2: "murmur2", KindMurmur3: "murmur3", KindMix: "mix64", Kind(99): "unknown"}
+	cases := map[Kind]string{KindMurmur2: "murmur2", KindMurmur3: "murmur3", Kind(99): "unknown"}
 	for k, want := range cases {
 		if got := k.String(); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, want)
@@ -114,6 +114,32 @@ func TestHasherDifferentKindsDisagree(t *testing.T) {
 	m3 := NewMurmur3(11)
 	if m2.Hash("some key") == m3.Hash("some key") {
 		t.Fatal("murmur2 and murmur3 digests coincide; suspicious")
+	}
+}
+
+// wrappedHasher forwards to a Hasher, like a counting or timing wrapper.
+type wrappedHasher struct{ UnitHasher }
+
+func TestSameHasher(t *testing.T) {
+	h := NewMurmur2(11)
+	w := &wrappedHasher{h}
+	for _, tc := range []struct {
+		name string
+		a, b UnitHasher
+		want bool
+	}{
+		{"one instance", h, h, true},
+		{"same kind and seed", h, NewMurmur2(11), true},
+		{"other seed", h, NewMurmur2(12), false},
+		{"other kind", h, NewMurmur3(11), false},
+		{"one wrapper instance", w, w, true},
+		{"wrapper and its inner hasher", w, h, false},
+		{"inner hasher and its wrapper", h, w, false},
+		{"two wrappers of one hasher", w, &wrappedHasher{h}, false},
+	} {
+		if got := Same(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: Same = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

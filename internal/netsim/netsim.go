@@ -28,6 +28,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/hashing"
 	"repro/internal/stream"
 )
 
@@ -165,6 +166,20 @@ type SiteNode interface {
 	// Memory returns the number of stored tuples, the per-site memory
 	// measure used by the sliding-window experiments.
 	Memory() int
+}
+
+// DigestSite is a SiteNode whose arrival filter can start from the key's
+// 64-bit digest under its own hash function. A caller that has already
+// hashed the key (a shard router picking the owner) hands the digest over
+// instead of having the node hash the key a second time. It may do so only
+// when its digest comes from the node's Hasher, or one of the same kind and
+// seed; otherwise it calls OnArrival.
+type DigestSite interface {
+	SiteNode
+	// Hasher returns the hash function the node filters with.
+	Hasher() hashing.UnitHasher
+	// OnDigest is OnArrival for a key whose Hasher().Hash digest is d.
+	OnDigest(key string, d uint64, slot int64, out *Outbox)
 }
 
 // CoordinatorNode is the coordinator half of a protocol.

@@ -83,13 +83,27 @@ func (s *Site) Threshold() float64 {
 // still inside the window.
 func (s *Site) expiryFor(slot int64) int64 { return slot + s.window - 1 }
 
+// Hasher implements netsim.DigestSite: the hash function the site filters
+// with.
+func (s *Site) Hasher() hashing.UnitHasher { return s.hasher }
+
 // OnArrival implements netsim.SiteNode (Algorithm 3, lines 3-15).
 func (s *Site) OnArrival(key string, slot int64, out *netsim.Outbox) {
+	s.arrive(key, s.hasher.Unit(key), slot, out)
+}
+
+// OnDigest implements netsim.DigestSite: OnArrival for a key whose digest
+// under the site's hasher is d.
+func (s *Site) OnDigest(key string, d uint64, slot int64, out *netsim.Outbox) {
+	s.arrive(key, hashing.ToUnit(d), slot, out)
+}
+
+// arrive is Algorithm 3's arrival step for key, whose unit hash is h.
+func (s *Site) arrive(key string, h float64, slot int64, out *netsim.Outbox) {
 	// Drop tuples that have fallen out of the window before doing anything
 	// else (Algorithm 3 line 10).
 	s.store.ExpireBefore(slot)
 
-	h := s.hasher.Unit(key)
 	expiry := s.expiryFor(slot)
 	// Insert or refresh the tuple; dominated tuples are pruned inside.
 	s.store.Observe(key, h, expiry)
@@ -99,6 +113,8 @@ func (s *Site) OnArrival(key string, slot int64, out *netsim.Outbox) {
 		out.ToCoordinator(netsim.Message{Kind: netsim.KindWindowOffer, Key: key, Hash: h, Expiry: expiry})
 	}
 }
+
+var _ netsim.DigestSite = (*Site)(nil)
 
 // OnMessage implements netsim.SiteNode (Algorithm 3, lines 16-20): the
 // coordinator's reply becomes the site's candidate sample and joins T_i so

@@ -87,7 +87,7 @@ func (c *SiteClient) failPipe(err error) {
 
 // pipeObserve is Observe in pipelined mode: run the site callback, buffer
 // its messages, and ship any full batches without waiting for replies.
-func (c *SiteClient) pipeObserve(key string, slot int64) error {
+func (c *SiteClient) pipeObserve(key string, d uint64, digested bool, slot int64) error {
 	batchSize := c.opts.BatchSize
 	if batchSize < 1 {
 		batchSize = 1
@@ -98,7 +98,7 @@ func (c *SiteClient) pipeObserve(key string, slot int64) error {
 		return err
 	}
 	c.scratch.Reset()
-	c.node.OnArrival(key, slot, &c.scratch)
+	c.arrive(key, d, digested, slot)
 	err := c.bufferLocked(slot)
 	full := len(c.pending) >= batchSize
 	c.mu.Unlock()

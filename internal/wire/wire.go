@@ -1278,6 +1278,8 @@ type SiteClient struct {
 	fc   frameConn
 	opts Options
 
+	dnode netsim.DigestSite // node's digest entry point; nil when it has none
+
 	mu      sync.Mutex   // guards node, pending, counters when pipelining
 	pending []BatchEntry // buffered offers awaiting a batch flush
 	// batchStartNs is when the current pending buffer got its first offer,
@@ -1315,6 +1317,7 @@ func DialSiteOptions(node netsim.SiteNode, addr string, opts Options) (*SiteClie
 		return nil, err
 	}
 	c := &SiteClient{node: node, conn: conn, fc: fc, opts: opts}
+	c.dnode, _ = node.(netsim.DigestSite)
 	if err := writeFlush(c.fc, &Frame{Type: FrameHello, Site: node.ID()}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: hello: %w", err)
@@ -1413,12 +1416,38 @@ func (c *SiteClient) Replay(entries []BatchEntry) error {
 // whatever exchanges with the coordinator the protocol requires (possibly
 // deferred, when batching or pipelining is enabled).
 func (c *SiteClient) Observe(key string, slot int64) error {
+	return c.observe(key, 0, false, slot)
+}
+
+// ObserveDigest is Observe for a key whose digest d the caller has already
+// computed: a node with a digest entry point (netsim.DigestSite) filters on
+// d instead of hashing the key again, any other node hashes it as under
+// Observe. d must come from the node's own Hasher, or from one of the same
+// kind and seed (hashing.Same).
+func (c *SiteClient) ObserveDigest(key string, d uint64, slot int64) error {
+	return c.observe(key, d, c.dnode != nil, slot)
+}
+
+// observe is Observe and ObserveDigest: digested says that d is to feed the
+// node's digest entry point.
+func (c *SiteClient) observe(key string, d uint64, digested bool, slot int64) error {
 	if c.pipe != nil {
-		return c.pipeObserve(key, slot)
+		return c.pipeObserve(key, d, digested, slot)
 	}
 	c.scratch.Reset()
-	c.node.OnArrival(key, slot, &c.scratch)
+	c.arrive(key, d, digested, slot)
 	return c.flush(&c.scratch, slot)
+}
+
+// arrive hands one arrival to the node, through its digest entry point when
+// the caller has the digest, and queues the node's messages on the scratch
+// outbox. In pipelined mode the caller holds mu.
+func (c *SiteClient) arrive(key string, d uint64, digested bool, slot int64) {
+	if digested {
+		c.dnode.OnDigest(key, d, slot, &c.scratch)
+		return
+	}
+	c.node.OnArrival(key, slot, &c.scratch)
 }
 
 // EndSlot signals the end of a time slot to the local site node (needed by
