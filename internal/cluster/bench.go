@@ -957,7 +957,7 @@ type FailoverResult struct {
 // RunFailoverBench measures ingest throughput across a kill/promote event:
 // cfg.Sites clients ingest the first half of the stream into a cluster of
 // cfg.Shards replica groups (each 1 primary + replicas warm standbys), the
-// run quiesces (flush + forced state-sync, so replication is exactly caught
+// run quiesces (flush + forced state push, so replication is exactly caught
 // up), shard 0's primary is killed, and the second half is ingested through
 // the promotion. The merged sample over the surviving primaries must be
 // byte-identical to the centralized reference — a kill that loses state

@@ -25,7 +25,7 @@ import (
 // {1, 2, 4} shards, under both synchronous and pipelined ingest.
 //
 // The kill lands at the stream's midpoint after a quiesce (flush + forced
-// state-sync): the paper's analysis makes replication exact only up to the
+// state push): the paper's analysis makes replication exact only up to the
 // bounded resync window — offers the dead primary acknowledged after its
 // last sync are unrecoverable — so the test accounts for that window by
 // closing it before pulling the trigger. Everything after the kill exercises

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -23,9 +22,9 @@ import (
 //
 //  1. Bring up the new shard's replica group (a fresh slot) and assign it
 //     its range [mid, hi) at the next table version (a route-update frame).
-//  2. Warm it: snapshot D's sample and hand it over (a range-handoff frame);
-//     the receiver keeps only the entries hashing into its range, applied as
-//     offers. D keeps serving the whole old range throughout.
+//  2. Warm it: snapshot D's state and hand it over (a state-handoff frame);
+//     the receiver keeps only the entries hashing into its range, merged
+//     into its own state. D keeps serving the whole old range throughout.
 //  3. Cut over: publish the new table to every registered site client. Each
 //     applies it independently at its next operation boundary — drain the
 //     old connections (replaying any unacked window through the ordinary
@@ -286,46 +285,22 @@ func (r *Resharder) MergeAt(rangeIdx int) (*ReshardReport, error) {
 
 // handoff snapshots the donor slot's primary state and ships it, filtered to
 // [lo, hi), to the receiver slot's primary, returning how many entries the
-// frame carried. The snapshot is a full core.State (generic state-handoff
-// frame), so sliding-window shards — whose candidate store never fit in a
-// flat sample frame — hand ranges off exactly like infinite-window ones;
-// pre-snapshot coordinators fall back to the legacy flat-sample handoff.
-// Both endpoints are re-resolved per attempt so a primary killed mid-plan
-// fails over to its replica.
+// frame carried. The snapshot is a full core.State (a state-handoff frame),
+// so sliding-window shards hand ranges off exactly like infinite-window
+// ones. A donor without Snapshot/Restore fails the handoff with an error
+// wrapping wire.ErrNotSnapshottable. Both endpoints are re-resolved per
+// attempt so a primary killed mid-plan fails over to its replica.
 func (r *Resharder) handoff(donor, receiver int, ver, lo, hi uint64) (int, error) {
 	var n, frameBytes int
 	err := r.withPrimary(donor, func(donorAddr string) error {
-		st, serr := wire.SnapshotAddr(donorAddr, r.codec)
-		if serr == nil {
-			n = core.StateEntryCount(st)
-			frameBytes = len(core.EncodeState(st))
-			return r.withPrimary(receiver, func(recvAddr string) error {
-				ackVer, err := wire.HandoffStateAddr(recvAddr, ver, lo, hi, st, r.codec)
-				if err != nil {
-					return err
-				}
-				if ackVer > ver {
-					return fmt.Errorf("cluster: handoff to slot %d at route version %d, plan is %d: %w", receiver, ackVer, ver, wire.ErrStaleRoute)
-				}
-				return nil
-			})
-		}
-		if !strings.Contains(serr.Error(), "does not support state snapshots") {
-			// A transient failure (dial, read, mid-plan kill), NOT a donor
-			// that predates the Snapshot API: surface it so withPrimary's
-			// retry re-resolves the primary instead of downgrading to a
-			// legacy path the receiver may reject.
-			return serr
-		}
-		// Legacy path: the donor predates the Snapshot API; its whole state
-		// is its flat sample.
-		entries, err := wire.QueryWith(donorAddr, r.codec)
+		st, err := wire.SnapshotAddr(donorAddr, r.codec)
 		if err != nil {
 			return err
 		}
-		n = len(entries)
+		n = core.StateEntryCount(st)
+		frameBytes = len(core.EncodeState(st))
 		return r.withPrimary(receiver, func(recvAddr string) error {
-			ackVer, err := wire.HandoffAddr(recvAddr, ver, lo, hi, entries, r.codec)
+			ackVer, err := wire.HandoffStateAddr(recvAddr, ver, lo, hi, st, r.codec)
 			if err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -30,7 +31,7 @@ import (
 // chunk's ingest — sites flip their routing tables cooperatively at
 // operation boundaries while offers stream — which is the online claim under
 // test. The one kill runs between chunks after a quiesce (flush + forced
-// state-sync), matching the failover test's accounting of the bounded
+// state push), matching the failover test's accounting of the bounded
 // resync window: replication is exact up to that window by design, and the
 // kill's job here is to prove resharding composes with failover, not to
 // re-measure the window.
@@ -309,6 +310,40 @@ func TestRunReshardBench(t *testing.T) {
 	}
 	if res.SplitTotalSec <= 0 || res.SplitTotalSec < res.SplitCutoverStallSec {
 		t.Fatalf("implausible split timing: %+v", res)
+	}
+}
+
+// TestSplitNonSnapshotDonorTyped pins the handoff's one path: a donor whose
+// coordinator lacks Snapshot/Restore (possible only in an unreplicated
+// group) fails a split's warm handoff with an error wrapping
+// wire.ErrNotSnapshottable — there is no flat-sample fallback — and the
+// plan stops before any site is cut over.
+func TestSplitNonSnapshotDonorTyped(t *testing.T) {
+	hasher := hashing.NewMurmur2(17)
+	router := NewShardRouter(1, hasher)
+	srv, err := replica.Listen("127.0.0.1:0", 1, replica.Options{
+		Codec:     wire.CodecBinary,
+		RouteHash: router.RouteHash,
+	}, func(slot, _ int) netsim.CoordinatorNode {
+		if slot == 0 {
+			return core.NewBroadcastCoordinator(4) // the donor
+		}
+		return core.NewInfiniteCoordinator(4)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	rs := NewResharder(srv, router.Table(), wire.CodecBinary)
+	mid, err := rs.Table().SplitPoint(0, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Split(0, mid); !errors.Is(err, wire.ErrNotSnapshottable) {
+		t.Fatalf("split of a non-snapshot donor: err = %v, want errors.Is(err, wire.ErrNotSnapshottable)", err)
+	}
+	if v := rs.Table().Version; v != router.Table().Version {
+		t.Fatalf("failed split moved the route table to version %d", v)
 	}
 }
 

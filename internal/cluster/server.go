@@ -130,7 +130,7 @@ func (s *Server) MergedSample(sampleSize int) []netsim.SampleEntry {
 // replayed to the new primary before ingest resumes. Offers are idempotent
 // refreshes of a bottom-s sketch, so replay can only restore lost state,
 // never corrupt it; what replay cannot restore is offers the dead primary
-// acknowledged after its last state-sync — the bounded resync window
+// acknowledged after its last state push — the bounded resync window
 // documented in internal/replica.
 // The client also participates in online resharding: a Resharder publishes a
 // RouteUpdate (new range table + shard groups) via OfferRouteUpdate, and the

@@ -73,7 +73,7 @@ func (b *bottomSet) Offer(key string, hash float64) bool {
 
 // Restore replaces the set's contents with the given entries (at most
 // capacity survive; the smallest hashes win). It is the replication
-// primitive: a replica applying the primary's sample frame ends up with the
+// primitive: a replica applying the primary's state frame ends up with the
 // identical bottom-s state, and re-applying the same frame is a no-op.
 func (b *bottomSet) Restore(entries []netsim.SampleEntry) {
 	b.entries = b.entries[:0]

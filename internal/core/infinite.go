@@ -140,16 +140,6 @@ func (c *InfiniteCoordinator) OnMessage(msg netsim.Message, _ int64, out *netsim
 // OnSlotEnd implements netsim.CoordinatorNode (no time-driven behaviour).
 func (c *InfiniteCoordinator) OnSlotEnd(int64, *netsim.Outbox) {}
 
-// RestoreSample implements netsim.Restorable, the legacy (pre-Snapshot)
-// capture seam: it replaces the coordinator's entire state with the given
-// bottom-s sample. Retained for one release so old state-sync and
-// range-handoff frames keep applying; new code uses Snapshot/Restore.
-func (c *InfiniteCoordinator) RestoreSample(entries []netsim.SampleEntry) {
-	c.sample.Restore(entries)
-}
-
-var _ netsim.Restorable = (*InfiniteCoordinator)(nil)
-
 // Offer implements Sampler: present one element with its precomputed hash.
 // Slot, expiry, and copy are ignored — the infinite window has no time
 // semantics and a single sketch.

@@ -17,10 +17,11 @@ import (
 // The State is the system's replication, handoff, and persistence currency:
 // a replica that Restores a primary's Snapshot is byte-identical to it at
 // capture time; a reshard handoff ships a filtered Snapshot; a backup is a
-// Snapshot written to disk. Before this API, only the flat bottom-s sample
-// could be captured (netsim.Restorable), which is why the sliding-window
+// Snapshot written to disk. It is the only form in which state moves between
+// nodes: the wire protocol's state-frame (replication) and state-handoff
+// (resharding) each carry one encoded State, so the sliding-window
 // coordinator — whose state includes a treap-backed candidate store and a
-// slot clock — had neither replication nor reshard support.
+// slot clock — replicates and reshards exactly like the bottom-s sampler.
 
 // StateVersion is the current snapshot format version. Encoded states carry
 // it; DecodeState rejects versions it does not know, exactly like the wire

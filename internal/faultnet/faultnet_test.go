@@ -90,7 +90,7 @@ func TestInjectorPartitionCoversRedials(t *testing.T) {
 }
 
 // TestDuplicatedStateFrameIsIdempotent is the protocol-level regression for
-// frame duplication, the one fault faultnet delivers silently: a state-sync
+// frame duplication, the one fault faultnet delivers silently: a state-frame
 // pushed through an always-duplicate link reaches the replica twice, and the
 // replica's sample must come out byte-identical to the primary's — state
 // frames are absolute, so applying one twice is applying it once.
@@ -116,8 +116,8 @@ func TestDuplicatedStateFrameIsIdempotent(t *testing.T) {
 
 	inj := NewInjector(13, Scenario{Dup: 1})
 	push := wire.NewMemSyncWrap(replica, inj.Wrap)
-	entries, u, slot, _ := primary.SyncState()
-	if _, err := push.Sync(0, 1, slot, u, entries); err != nil {
+	st, _, slot, _ := primary.SnapshotSync()
+	if _, err := push.SyncFrame(0, 1, slot, core.EncodeState(st)); err != nil {
 		t.Fatalf("sync over duplicating link: %v", err)
 	}
 	if dups := inj.Trace(); len(dups) == 0 {

@@ -138,18 +138,6 @@ func (o *Outbox) Reset() { o.envelopes = o.envelopes[:0] }
 // next Reset or queueing call.
 func (o *Outbox) Envelopes() []Envelope { return o.envelopes }
 
-// Restorable is implemented by coordinator nodes whose entire protocol state
-// can be rebuilt from one sample frame. The paper's coordinator state is a
-// bottom-s sketch — tiny and exactly mergeable — so shipping the full sample
-// replaces classic log replication: a replica that applies a Restore is
-// byte-identical to the primary at the moment the sample was taken.
-// RestoreSample must replace (not merge into) the node's current sample, so
-// applying the same frame twice is idempotent and applying a newer frame
-// supersedes an older one.
-type Restorable interface {
-	RestoreSample(entries []SampleEntry)
-}
-
 // SiteNode is the site half of a protocol.
 type SiteNode interface {
 	// ID returns the site index in [0, k).

@@ -10,13 +10,11 @@ import (
 // Replication instruments. Sync rounds are counted only when a push actually
 // happens; idle intervals (no new offers, no epoch change) count as skipped —
 // the ratio is the duty cycle of the replication plane. Bytes count the
-// encoded generic state frames; legacy flat-sample pushes count entries
-// instead (their wire bytes are already visible in dds_wire_bytes_out_total).
+// encoded state each round pushes (once per round, not per replica).
 var (
 	obsSyncRounds    = obs.Default().Counter("dds_replica_sync_rounds_total")
 	obsSyncSkipped   = obs.Default().Counter("dds_replica_sync_skipped_total")
 	obsSyncBytes     = obs.Default().Counter("dds_replica_sync_bytes_total")
-	obsSyncEntries   = obs.Default().Counter("dds_replica_sync_entries_total")
 	obsSyncRoundNs   = obs.Default().Histogram("dds_replica_sync_round_ns", obs.ExpBuckets(1000, 4, 12))
 	obsDeposedFences = obs.Default().Counter("dds_replica_deposed_fences_total")
 	// Lease renewals granted to primaries (quorum of the group acked the

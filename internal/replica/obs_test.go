@@ -13,10 +13,9 @@ import (
 )
 
 // TestAddGroupNotSnapshottableTyped pins the typed sentinel at the replica
-// attach seam: a coordinator node with neither the Snapshot/Restore API nor
-// the legacy restore seam is rejected with an error wrapping
-// wire.ErrNotSnapshottable, so callers can branch on the capability instead
-// of matching error text.
+// attach seam: a coordinator node without the Snapshot/Restore API is
+// rejected with an error wrapping wire.ErrNotSnapshottable, so callers can
+// branch on the capability instead of matching error text.
 func TestAddGroupNotSnapshottableTyped(t *testing.T) {
 	_, err := Listen("127.0.0.1:0", 1, Options{Replicas: 1}, func(int, int) netsim.CoordinatorNode {
 		return core.NewBroadcastCoordinator(1)
@@ -91,8 +90,8 @@ func TestReplicaSyncInstruments(t *testing.T) {
 	if d := delta("dds_replica_sync_skipped_total"); d < 1 {
 		t.Fatalf("sync skipped delta = %d, want >= 1", d)
 	}
-	if delta("dds_replica_sync_bytes_total")+delta("dds_replica_sync_entries_total") == 0 {
-		t.Fatal("no sync payload counted (neither bytes nor entries)")
+	if delta("dds_replica_sync_bytes_total") == 0 {
+		t.Fatal("no sync payload bytes counted")
 	}
 	// The site filters locally (the paper's message-efficiency claim), so
 	// only a fraction of the n observes become offer messages — but some must.
@@ -116,8 +115,9 @@ func TestReplicaSyncInstruments(t *testing.T) {
 }
 
 // TestDeposedFenceInstrumented promotes a replica past the sender's epoch and
-// pushes a stale sync at it, asserting the typed ErrDeposed error, the
-// deposed-fence counter, and the control-plane event.
+// pushes a real encoded state at it, stamped with the stale epoch, asserting
+// the typed ErrDeposed error, the deposed-fence counter, the control-plane
+// event, and that the replica's state did not change.
 func TestDeposedFenceInstrumented(t *testing.T) {
 	before := obs.Default().Snapshot()
 	evBase := obs.Events().Seq()
@@ -128,9 +128,14 @@ func TestDeposedFenceInstrumented(t *testing.T) {
 	if _, err := wire.PromoteAddr(m.addr, 2, wire.CodecBinary); err != nil {
 		t.Fatal(err)
 	}
-	err := g.push(m, Options{Codec: wire.CodecBinary}, obs.TraceContext{}, 0, 0, 1, nil, nil)
+	deposed := core.NewInfiniteCoordinator(8)
+	deposed.Offer(core.Offer{Key: "deposed", Hash: 0.01})
+	err := g.push(m, Options{Codec: wire.CodecBinary}, obs.TraceContext{}, 0, 0, core.EncodeState(deposed.Snapshot()))
 	if !errors.Is(err, wire.ErrDeposed) {
 		t.Fatalf("stale push err = %v, want errors.Is(err, wire.ErrDeposed)", err)
+	}
+	if got := m.srv.Sample(); len(got) != 0 {
+		t.Fatalf("fenced push was applied: replica sample %v", got)
 	}
 
 	after := obs.Default().Snapshot()

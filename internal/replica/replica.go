@@ -1,25 +1,25 @@
 // Package replica turns each cluster shard into a replica group: one primary
-// coordinator plus R warm replicas, kept up to date by state-sync frames and
+// coordinator plus R warm replicas, kept up to date by state-frame pushes and
 // promoted by epoch on failover.
 //
 // Replication here is almost free compared to a classic replicated log,
 // because of the same property that makes sharding exact: the coordinator's
 // entire state is a bottom-s sketch — a few dozen (key, hash) pairs. There
 // is no log to ship and no divergence to reconcile; the primary periodically
-// pushes one state-sync frame carrying its full sample (plus threshold and
-// slot metadata) over the ordinary internal/wire transport, and a replica
-// that applies it is byte-identical to the primary at capture time. A
-// replica joining cold catches up in exactly one frame.
+// pushes one state-frame carrying its full state (one encoded core.State,
+// plus slot metadata) over the ordinary internal/wire transport, and a
+// replica that applies it is byte-identical to the primary at capture time.
+// A replica joining cold catches up in exactly one frame.
 //
 // Roles are decided by epoch-numbered promotion. Every member starts at
 // epoch 0 with member 0 as primary; promoting member j means sending it a
 // promote frame with epoch j. Epochs ratchet monotonically (wire fences
-// state-syncs stamped with a lower epoch, so a deposed primary can never
+// state-frames stamped with a lower epoch, so a deposed primary can never
 // overwrite a promoted replica), promotion is idempotent, and the
 // member-index-as-epoch convention makes it deterministic: every client that
 // observes the same primary failure walks the same member order and promotes
 // the same next member, with no coordination. The trade-off is bounded
-// staleness: offers the dead primary acknowledged after its last state-sync
+// staleness: offers the dead primary acknowledged after its last state push
 // are lost unless the sites replay them (see cluster.SiteClient, which
 // replays its unacked window on failover) — the window is at most one
 // SyncInterval of acknowledged-but-unsynced offers.
@@ -50,11 +50,12 @@ type Options struct {
 	// replicas while ingest is active (syncs are skipped while the primary is
 	// idle). Defaults to DefaultSyncInterval.
 	SyncInterval time.Duration
-	// Codec is the wire codec used for state-sync connections.
+	// Codec is the wire codec used for replication connections (state-frame
+	// pushes, epoch probes, and lease renewals).
 	Codec wire.Codec
 	// RouteHash is the cluster's routing-hash function (ShardRouter.RouteHash
 	// of the shared hasher). When set it is installed on every member server,
-	// enabling the resharding frames — route-update pruning and range-handoff
+	// enabling the resharding frames — route-update pruning and state-handoff
 	// absorption both filter sample entries by routing hash. Required for
 	// online resharding (cluster.Resharder); optional otherwise.
 	RouteHash func(key string) uint64
@@ -66,7 +67,7 @@ type Options struct {
 	// will never see. The lease must comfortably exceed SyncInterval (a
 	// healthy primary renews every round); Listen rejects anything shorter.
 	// 0 disables leasing: primaries serve unconditionally and partition
-	// fencing happens only at the next state-sync (the pre-lease behaviour).
+	// fencing happens only at the next state push (the pre-lease behaviour).
 	Lease time.Duration
 	// SyncWrap, when set, wraps every replication connection's transport —
 	// the seam the faultnet fault injector uses to subject the sync plane
@@ -119,7 +120,7 @@ type group struct {
 
 	mu         sync.Mutex // serializes sync rounds (ticker vs SyncNow) and retirement
 	retired    bool       // RetireGroup ran: the slot's range was merged away
-	seq        uint64     // monotone state-sync sequence number
+	seq        uint64     // monotone state-frame sequence number
 	lastOffers int        // primary activity count at the last push (change detection)
 	lastEpoch  uint64     // primary epoch at the last push
 	pushed     bool       // at least one push happened
@@ -198,9 +199,8 @@ func (s *Server) snapshotGroups() []*group {
 // Listen starts every group member and the per-group sync loops. newCoord
 // builds the protocol coordinator for (shard, member); instances must be
 // independent, and for replicas to apply syncs the node must implement
-// either core.Snapshotter (the unified Snapshot/Restore API — every sampler
-// kind, sliding-window included, replicates through generic state frames) or
-// the legacy netsim.Restorable flat-sample seam.
+// core.Snapshotter (the unified Snapshot/Restore API — every sampler kind,
+// sliding-window included, replicates through state frames).
 func Listen(addr string, shards int, opts Options, newCoord func(shard, member int) netsim.CoordinatorNode) (*Server, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("replica: need at least one shard")
@@ -258,11 +258,9 @@ func (s *Server) AddGroup() (slot int, addrs []string, err error) {
 	var members []*member
 	for m := 0; m < groupSize; m++ {
 		node := s.newCoord(slot, m)
-		_, restorable := node.(netsim.Restorable)
-		_, snapshottable := node.(core.Snapshotter)
-		if !restorable && !snapshottable && s.opts.Replicas > 0 {
+		if _, ok := node.(core.Snapshotter); !ok && s.opts.Replicas > 0 {
 			closeMembers(members)
-			return 0, nil, fmt.Errorf("replica: shard %d member %d: coordinator node is neither snapshottable nor restorable: %w", slot, m, wire.ErrNotSnapshottable)
+			return 0, nil, fmt.Errorf("replica: shard %d member %d: %w", slot, m, wire.ErrNotSnapshottable)
 		}
 		srv := wire.NewCoordinatorServer(node)
 		srv.SetShardObs(offers, churn)
@@ -399,8 +397,8 @@ func (s *Server) spoolGroup(g *group, force bool) error {
 	if p == nil {
 		return fmt.Errorf("replica: shard %d: no live members to spool", g.shard)
 	}
-	st, generic, _, offers := p.srv.SnapshotSync()
-	if !generic {
+	st, ok, _, offers := p.srv.SnapshotSync()
+	if !ok {
 		return nil
 	}
 	epoch := p.srv.Epoch()
@@ -444,7 +442,7 @@ func (s *Server) SpoolNow() error {
 func (s *Server) NoteRouteVersion(v uint64) { s.routeVersion.Store(v) }
 
 // primary returns the group's current primary: the live member with the
-// highest epoch, preferring promoted members on ties (state-syncs propagate
+// highest epoch, preferring promoted members on ties (state pushes propagate
 // the primary's epoch to its replicas, so epoch alone does not identify the
 // promoted member) and the lowest index after that. nil if every member has
 // been killed.
@@ -467,7 +465,7 @@ func (g *group) primary() (int, *member) {
 	return bestIdx, best
 }
 
-// syncRound captures the primary's state and pushes one state-sync frame to
+// syncRound captures the primary's state and pushes one state-frame to
 // every live replica. Unless force is set, the push is skipped while the
 // primary is idle (no new offers and no epoch change since the last push).
 // Errors pushing to individual replicas are returned joined but do not stop
@@ -490,21 +488,15 @@ func (g *group) syncRound(opts Options, force bool) error {
 	if p == nil {
 		return fmt.Errorf("replica: shard %d: no live members", g.shard)
 	}
-	// Prefer the generic capture: one encoded core.State replicates any
-	// snapshot-capable sampler (the sliding-window coordinator's candidate
-	// store included). Nodes predating the Snapshot/Restore API fall back to
-	// the legacy flat-sample state-sync.
-	st, generic, slot, offers := p.srv.SnapshotSync()
-	var (
-		entries []netsim.SampleEntry
-		u       float64
-		encoded []byte
-	)
-	if generic {
-		encoded = core.EncodeState(st)
-	} else {
-		entries, u, slot, offers = p.srv.SyncState()
+	// One encoded core.State replicates any snapshot-capable sampler (the
+	// sliding-window coordinator's candidate store included). A node without
+	// Snapshot/Restore only ever serves an unreplicated group (AddGroup
+	// refuses it otherwise), so there is nothing to push.
+	st, ok, slot, offers := p.srv.SnapshotSync()
+	if !ok {
+		return nil
 	}
+	encoded := core.EncodeState(st)
 	epoch := p.srv.Epoch()
 	// The round's trace context: adopt the last sampled ingest batch the
 	// primary acknowledged — linking site → shard → replica in one timeline —
@@ -522,11 +514,7 @@ func (g *group) syncRound(opts Options, force bool) error {
 	}
 	start := nowNanos()
 	obsSyncRounds.Inc()
-	if generic {
-		obsSyncBytes.Add(uint64(len(encoded)))
-	} else {
-		obsSyncEntries.Add(uint64(len(entries)))
-	}
+	obsSyncBytes.Add(uint64(len(encoded)))
 	g.seq++
 	// Push to every replica concurrently: each member's sync connection is
 	// guarded by its own mutex, and a replica that is down without having
@@ -543,7 +531,7 @@ func (g *group) syncRound(opts Options, force bool) error {
 		wg.Add(1)
 		go func(i int, m *member) {
 			defer wg.Done()
-			if err := g.push(m, opts, tc.Child(), epoch, slot, u, entries, encoded); err != nil {
+			if err := g.push(m, opts, tc.Child(), epoch, slot, encoded); err != nil {
 				errs[i] = fmt.Errorf("replica: shard %d sync to %s: %w", g.shard, m.addr, err)
 			}
 		}(i, m)
@@ -697,24 +685,17 @@ func (g *group) ensureSyncLocked(m *member, opts Options) error {
 	return nil
 }
 
-// push ships one sync frame — a generic state-frame when encoded is set, the
-// legacy flat-sample state-sync otherwise — to a member over its cached sync
-// connection, dialing (or redialing once, if the cached connection has gone
-// stale) as needed.
-func (g *group) push(m *member, opts Options, tc obs.TraceContext, epoch uint64, slot int64, u float64, entries []netsim.SampleEntry, encoded []byte) error {
+// push ships one state-frame carrying the encoded primary state to a member
+// over its cached sync connection, dialing (or redialing once, if the cached
+// connection has gone stale) as needed.
+func (g *group) push(m *member, opts Options, tc obs.TraceContext, epoch uint64, slot int64, encoded []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for attempt := 0; ; attempt++ {
 		if err := g.ensureSyncLocked(m, opts); err != nil {
 			return err
 		}
-		var ackEpoch uint64
-		var err error
-		if encoded != nil {
-			ackEpoch, err = m.sync.SyncFrameTraced(tc, epoch, g.seq, slot, encoded)
-		} else {
-			ackEpoch, err = m.sync.Sync(epoch, g.seq, slot, u, entries)
-		}
+		ackEpoch, err := m.sync.SyncFrameTraced(tc, epoch, g.seq, slot, encoded)
 		if err != nil {
 			m.sync.Close()
 			m.sync = nil

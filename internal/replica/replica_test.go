@@ -156,17 +156,6 @@ func TestKillAndPromote(t *testing.T) {
 	}
 }
 
-// TestListenRejectsNonRestorable checks that replica groups refuse
-// coordinator nodes that cannot apply a state-sync.
-func TestListenRejectsNonRestorable(t *testing.T) {
-	_, err := Listen("127.0.0.1:0", 1, Options{Replicas: 1}, func(int, int) netsim.CoordinatorNode {
-		return core.NewBroadcastCoordinator(1)
-	})
-	if err == nil {
-		t.Fatal("Listen should reject non-restorable coordinators when replicas are enabled")
-	}
-}
-
 // flakyConn drops WriteFrames while its shared countdown is positive —
 // shared across redials, so a retry budget is consumed honestly.
 type flakyConn struct {

@@ -65,29 +65,28 @@ var binMagic = [4]byte{'D', 'D', 'S', '3'}
 const maxFrameSize = 16 << 20
 
 // Binary frame type codes (the binary counterpart of the Frame* strings).
-// Codes 0x08–0x0a are the replication frames added after DDS2 shipped;
-// adding codes is layout-compatible (existing frames encode unchanged, and a
-// peer that predates a code rejects it cleanly as unknown), so the preamble
-// digit only moves when an existing frame's layout changes.
+// Codes from 0x09 on are the replication, resharding, and control-plane
+// frames added after DDS2 shipped; adding codes is layout-compatible
+// (existing frames encode unchanged, and a peer that predates a code rejects
+// it cleanly as unknown), so the preamble digit only moves when an existing
+// frame's layout changes. Codes 0x08 and 0x0c carried the retired
+// flat-sample state-sync and range-handoff frames; they are never reused, so
+// a stale peer still sending them is rejected as unknown rather than
+// misparsed as a newer frame.
 const (
-	binHello        = 0x01
-	binOffer        = 0x02
-	binReplies      = 0x03
-	binQuery        = 0x04
-	binSample       = 0x05
-	binError        = 0x06
-	binBatch        = 0x07
-	binStateSync    = 0x08
-	binStateAck     = 0x09
-	binPromote      = 0x0a
-	binRouteUpdate  = 0x0b
-	binRangeHandoff = 0x0c
-	// Generic state frames (the unified Snapshot/Restore API): the payload is
-	// an encoded core.State — kind-tagged and version-fenced by core's own
+	binHello       = 0x01
+	binOffer       = 0x02
+	binReplies     = 0x03
+	binQuery       = 0x04
+	binSample      = 0x05
+	binError       = 0x06
+	binBatch       = 0x07
+	binStateAck    = 0x09
+	binPromote     = 0x0a
+	binRouteUpdate = 0x0b
+	// State frames (the unified Snapshot/Restore API): the payload is an
+	// encoded core.State — kind-tagged and version-fenced by core's own
 	// encoding — so one frame layout carries every sampler kind's full state.
-	// They supersede the flat-sample state-sync and range-handoff payloads,
-	// which remain decodable (and applied, for restorable nodes) for one
-	// release.
 	binStateFrame   = 0x0d
 	binStateHandoff = 0x0e
 	binSnapshot     = 0x0f
@@ -107,11 +106,9 @@ var binToName = map[byte]string{
 	binSample:       FrameSample,
 	binError:        FrameError,
 	binBatch:        FrameBatch,
-	binStateSync:    FrameStateSync,
 	binStateAck:     FrameStateAck,
 	binPromote:      FramePromote,
 	binRouteUpdate:  FrameRouteUpdate,
-	binRangeHandoff: FrameRangeHandoff,
 	binStateFrame:   FrameState,
 	binStateHandoff: FrameStateHandoff,
 	binSnapshot:     FrameSnapshot,
@@ -138,11 +135,9 @@ var nameToBin = map[string]byte{
 	FrameSample:       binSample,
 	FrameError:        binError,
 	FrameBatch:        binBatch,
-	FrameStateSync:    binStateSync,
 	FrameStateAck:     binStateAck,
 	FramePromote:      binPromote,
 	FrameRouteUpdate:  binRouteUpdate,
-	FrameRangeHandoff: binRangeHandoff,
 	FrameState:        binStateFrame,
 	FrameStateHandoff: binStateHandoff,
 	FrameSnapshot:     binSnapshot,
@@ -289,17 +284,6 @@ func (c *binConn) WriteFrame(f *Frame) error {
 			buf = appendMessage(buf, e.Msg)
 		}
 		buf = appendTrace(buf, f)
-	case binStateSync:
-		buf = binary.AppendUvarint(buf, f.Epoch)
-		buf = binary.AppendUvarint(buf, f.Seq)
-		buf = binary.AppendVarint(buf, f.Slot)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f.U))
-		buf = binary.AppendUvarint(buf, uint64(len(f.Entries)))
-		for _, e := range f.Entries {
-			buf = appendString(buf, e.Key)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Hash))
-			buf = binary.AppendVarint(buf, e.Expiry)
-		}
 	case binStateAck:
 		buf = binary.AppendUvarint(buf, f.Epoch)
 		buf = binary.AppendUvarint(buf, f.Seq)
@@ -309,17 +293,6 @@ func (c *binConn) WriteFrame(f *Frame) error {
 		buf = binary.AppendUvarint(buf, f.Seq)
 		buf = binary.LittleEndian.AppendUint64(buf, f.Lo)
 		buf = binary.LittleEndian.AppendUint64(buf, f.Hi)
-	case binRangeHandoff:
-		buf = binary.AppendUvarint(buf, f.Seq)
-		buf = binary.LittleEndian.AppendUint64(buf, f.Lo)
-		buf = binary.LittleEndian.AppendUint64(buf, f.Hi)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f.U))
-		buf = binary.AppendUvarint(buf, uint64(len(f.Entries)))
-		for _, e := range f.Entries {
-			buf = appendString(buf, e.Key)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Hash))
-			buf = binary.AppendVarint(buf, e.Expiry)
-		}
 	case binStateFrame:
 		buf = binary.AppendUvarint(buf, f.Epoch)
 		buf = binary.AppendUvarint(buf, f.Seq)
@@ -458,23 +431,6 @@ func (c *binConn) ReadFrame(f *Frame) error {
 			f.Batch = append(f.Batch, e)
 		}
 		d.trace(f)
-	case binStateSync:
-		f.Epoch = d.uvarint()
-		f.Seq = d.uvarint()
-		f.Slot = d.varint()
-		f.U = d.float()
-		count := d.uvarint()
-		if err := d.checkCount(count, minSampleEntryBytes); err != nil {
-			return err
-		}
-		if count > 0 {
-			f.Entries = entries
-		}
-		for i := uint64(0); i < count && d.err == nil; i++ {
-			e := netsim.SampleEntry{Key: d.string(), Hash: d.float()}
-			e.Expiry = d.varint()
-			f.Entries = append(f.Entries, e)
-		}
 	case binStateAck:
 		f.Epoch = d.uvarint()
 		f.Seq = d.uvarint()
@@ -484,23 +440,6 @@ func (c *binConn) ReadFrame(f *Frame) error {
 		f.Seq = d.uvarint()
 		f.Lo = d.uint64()
 		f.Hi = d.uint64()
-	case binRangeHandoff:
-		f.Seq = d.uvarint()
-		f.Lo = d.uint64()
-		f.Hi = d.uint64()
-		f.U = d.float()
-		count := d.uvarint()
-		if err := d.checkCount(count, minSampleEntryBytes); err != nil {
-			return err
-		}
-		if count > 0 {
-			f.Entries = entries
-		}
-		for i := uint64(0); i < count && d.err == nil; i++ {
-			e := netsim.SampleEntry{Key: d.string(), Hash: d.float()}
-			e.Expiry = d.varint()
-			f.Entries = append(f.Entries, e)
-		}
 	case binStateFrame:
 		f.Epoch = d.uvarint()
 		f.Seq = d.uvarint()

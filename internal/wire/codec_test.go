@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"math"
 	"net"
 	"reflect"
 	"sync"
@@ -49,12 +50,13 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 			{Slot: 2, Msg: netsim.Message{Kind: netsim.KindWindowOffer, Key: "y", Hash: 0.25, Expiry: 11}},
 		}},
 		{Type: FrameReplies}, // empty replies round-trip too
-		// Replication frames: full metadata, and the empty-sample edge.
-		{Type: FrameStateSync, Epoch: 3, Seq: 99, Slot: -7, U: 0.0625, Entries: []netsim.SampleEntry{
-			{Key: "r1", Hash: 0.03, Expiry: 5},
-			{Key: "r2", Hash: 0.0625},
-		}},
-		{Type: FrameStateSync, U: 1},
+		// State frames: full metadata with a negative slot, and the empty
+		// frame.
+		{Type: FrameState, Epoch: 3, Seq: 99, Slot: -7, State: infiniteState(4,
+			netsim.SampleEntry{Key: "r1", Hash: 0.03, Expiry: 5},
+			netsim.SampleEntry{Key: "r2", Hash: 0.0625},
+		), TraceID: 11, SpanID: 12, TraceFlags: 1},
+		{Type: FrameState},
 		{Type: FrameStateAck, Epoch: 2, Seq: 17},
 		{Type: FramePromote, Epoch: 4},
 	}
@@ -89,6 +91,27 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// legacyFrames returns well-formed payloads of the two retired flat-sample
+// frames, in the layout their decoders read: a state-sync (code 0x08: epoch,
+// seq, slot, u, entries) and a range-handoff over the full routing space
+// (code 0x0c: seq, lo, hi, u, entries), each carrying the one entry "ghost".
+// Decoders that knew the codes applied them; the codes are never reused, so
+// both must now be rejected as unknown.
+func legacyFrames() (stateSync, rangeHandoff []byte) {
+	entries := appendString([]byte{1}, "ghost")
+	entries = binary.LittleEndian.AppendUint64(entries, math.Float64bits(0.01))
+	entries = binary.AppendVarint(entries, 0)
+	u := math.Float64bits(1)
+	stateSync = binary.LittleEndian.AppendUint64([]byte{0x08, 0, 0, 0}, u)
+	rangeHandoff = binary.LittleEndian.AppendUint64(append([]byte{0x0c, 0}, make([]byte, 16)...), u)
+	return append(stateSync, entries...), append(rangeHandoff, entries...)
+}
+
+// lengthPrefixed frames a binary payload with its uint32 length prefix.
+func lengthPrefixed(payload []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
 func TestBinaryCodecRejectsCorruptInput(t *testing.T) {
 	corrupt := [][]byte{
 		{},                       // empty
@@ -100,6 +123,9 @@ func TestBinaryCodecRejectsCorruptInput(t *testing.T) {
 		// replies frame claiming far more messages than the payload holds
 		append(binary.LittleEndian.AppendUint32(nil, 3), binReplies, 0xff, 0x7f),
 	}
+	// Retired codes: well-formed legacy state-sync and range-handoff frames.
+	stateSync, rangeHandoff := legacyFrames()
+	corrupt = append(corrupt, lengthPrefixed(stateSync), lengthPrefixed(rangeHandoff))
 	for i, raw := range corrupt {
 		c := newBinConn(bufio.NewReader(bytes.NewReader(raw)), &bytes.Buffer{})
 		var f Frame

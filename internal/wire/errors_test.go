@@ -24,7 +24,15 @@ func TestMalformedFrames(t *testing.T) {
 		{'D', 'D', 'S', '1', 2, 0, 0, 0, 0x02, 0x00}, // stale pre-pipelining peer: rejected at the preamble
 		{'D', 'D', 'S', '2', 2, 0, 0, 0, 0x02, 0x00}, // pre-tracing layout: rejected at the preamble
 		{'X', 'Y'}, // neither codec
+		// Retired flat-sample state-sync: a server that still applied it
+		// would put "ghost" into the sample checked below.
+		[]byte(`{"type":"state-sync","entries":[{"Key":"ghost","Hash":0.01}]}` + "\n"),
 	}
+	// The same retired frames in the binary codec (codes 0x08 and 0x0c).
+	stateSync, rangeHandoff := legacyFrames()
+	garbage = append(garbage,
+		append(binMagic[:], lengthPrefixed(stateSync)...),
+		append(binMagic[:], lengthPrefixed(rangeHandoff)...))
 	for i, raw := range garbage {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {

@@ -46,11 +46,9 @@ func corpusFrames() []Frame {
 		{Type: FrameSample, Entries: entries},
 		{Type: FrameError, Error: "corpus error"},
 		{Type: FrameBatch, Seq: 9, Batch: []BatchEntry{{Slot: 1, Msg: msg}, {Slot: 2, Msg: msg}}},
-		{Type: FrameStateSync, Epoch: 2, Seq: 5, Slot: 13, U: 0.75, Entries: entries},
 		{Type: FrameStateAck, Epoch: 2, Seq: 5},
 		{Type: FramePromote, Epoch: 6},
 		{Type: FrameRouteUpdate, Seq: 4, Lo: 1 << 62, Hi: 3 << 62},
-		{Type: FrameRangeHandoff, Seq: 4, Lo: 1 << 62, Hi: 0, U: 0.5, Entries: entries},
 		{Type: FrameState, Epoch: 3, Seq: 7, Slot: 21, State: corpusState()},
 		{Type: FrameStateHandoff, Seq: 5, Lo: 1 << 61, Hi: 1 << 63, State: corpusState()},
 		{Type: FrameSnapshot},
@@ -111,6 +109,11 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 0, 0x07, 0xff, 0xff})             // batch with an implausible count
 	f.Add([]byte{1, 0, 0, 0, 0x42})                         // unknown frame code
 	f.Add(append([]byte{200, 0, 0, 0}, make([]byte, 8)...)) // length prefix past the payload
+	// The retired codes 0x08 and 0x0c with their old payloads, which the
+	// decoder must keep rejecting as unknown.
+	stateSync, rangeHandoff := legacyFrames()
+	f.Add(lengthPrefixed(stateSync))
+	f.Add(lengthPrefixed(rangeHandoff))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := newBinConn(bufio.NewReaderSize(bytes.NewReader(data), 64), io.Discard)
@@ -141,11 +144,6 @@ func framesEquivalent(a, b *Frame) bool {
 		a.Epoch != b.Epoch || a.Lo != b.Lo || a.Hi != b.Hi || a.Error != b.Error ||
 		a.TraceID != b.TraceID || a.SpanID != b.SpanID || a.TraceFlags != b.TraceFlags ||
 		!bytes.Equal(a.State, b.State) {
-		return false
-	}
-	// NaN-tolerant float comparison: the codec moves raw IEEE 754 bits, so a
-	// NaN round-trips even though NaN != NaN.
-	if !floatBitsEqual(a.U, b.U) {
 		return false
 	}
 	if (a.Msg == nil) != (b.Msg == nil) {

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -72,7 +71,7 @@ func TestWireInstrumentDeltas(t *testing.T) {
 }
 
 // TestFenceAndPromotionInstruments injects a promotion and then a deposed
-// state-sync and a stale route-update, asserting the fence-rejection
+// state-frame and a stale route-update, asserting the fence-rejection
 // counters and the control-plane event trail record exactly those faults.
 func TestFenceAndPromotionInstruments(t *testing.T) {
 	before := obs.Default().Snapshot()
@@ -89,7 +88,7 @@ func TestFenceAndPromotionInstruments(t *testing.T) {
 		t.Fatalf("promote: ack=%d err=%v", ack, err)
 	}
 	// Deposed primary: epoch 1 < server epoch 3. The push is fenced.
-	if ack, err := sc.Sync(1, 0, 0, 1, nil); err != nil || ack != 3 {
+	if ack, err := sc.SyncFrame(1, 0, 0, infiniteState(8)); err != nil || ack != 3 {
 		t.Fatalf("deposed sync: ack=%d err=%v", ack, err)
 	}
 	// Move the route version to 5, then send a stale route-update at 2.
@@ -130,22 +129,35 @@ func TestFenceAndPromotionInstruments(t *testing.T) {
 }
 
 // TestFetchStateNotSnapshottableTyped pins the typed sentinel across the
-// wire: asking a non-snapshot-capable node for its full state fails with an
-// error wrapping ErrNotSnapshottable (detectable via errors.Is), while the
-// error text keeps the legacy-donor marker cluster.Resharder matches on.
+// wire: every request that reads or replaces a node's full state — a
+// state-frame push, a state-handoff, a snapshot fetch, a route-update prune
+// — fails at a node without core.Snapshotter with an error wrapping
+// ErrNotSnapshottable (detectable via errors.Is), not a silent drop. The
+// server has a routing hash, so snapshot capability is the only reason left
+// to refuse.
 func TestFetchStateNotSnapshottableTyped(t *testing.T) {
-	srv := NewCoordinatorServer(perCopyCoordinator{}) // neither Snapshotter nor Restorable
+	srv := NewCoordinatorServer(core.NewBroadcastCoordinator(1))
+	srv.SetRouteHash(func(key string) uint64 { return hashing.Murmur2String64(key, 1) })
 	defer srv.Close()
-	sc := NewMemSync(srv)
-	defer sc.Close()
-	_, _, _, err := sc.FetchState()
-	if err == nil {
-		t.Fatal("FetchState on a non-snapshottable node succeeded")
-	}
-	if !errors.Is(err, ErrNotSnapshottable) {
-		t.Fatalf("err = %v, want errors.Is(err, ErrNotSnapshottable)", err)
-	}
-	if !strings.Contains(err.Error(), notSnapshottableText) {
-		t.Fatalf("error text lost the legacy-donor marker: %v", err)
+	for _, tc := range []struct {
+		name string
+		call func(*SyncClient) error
+	}{
+		{"state-frame", func(sc *SyncClient) error { _, err := sc.SyncFrame(0, 1, 0, infiniteState(1)); return err }},
+		{"state-handoff", func(sc *SyncClient) error { _, err := sc.HandoffState(1, 0, 0, infiniteState(1)); return err }},
+		{"snapshot", func(sc *SyncClient) error { _, _, _, err := sc.FetchState(); return err }},
+		{"route-update", func(sc *SyncClient) error { _, err := sc.RouteUpdate(1, 0, 0); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := NewMemSync(srv)
+			defer sc.Close()
+			err := tc.call(sc)
+			if err == nil {
+				t.Fatalf("%s on a non-snapshottable node succeeded", tc.name)
+			}
+			if !errors.Is(err, ErrNotSnapshottable) {
+				t.Fatalf("err = %v, want errors.Is(err, ErrNotSnapshottable)", err)
+			}
+		})
 	}
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"strings"
 	"sync"
 	"testing"
 
@@ -15,13 +14,21 @@ import (
 	"repro/internal/stream"
 )
 
-// sample is a test shorthand for building sample entries.
-func sample(pairs ...netsim.SampleEntry) []netsim.SampleEntry { return pairs }
+// infiniteState encodes an infinite-kind core.State of sample size s holding
+// entries: the payload a bottom-s primary's state-frame carries.
+func infiniteState(s int, entries ...netsim.SampleEntry) []byte {
+	return core.EncodeState(core.State{
+		Version:    core.StateVersion,
+		Kind:       core.StateInfinite,
+		SampleSize: s,
+		Sections:   []core.SectionState{{Entries: entries}},
+	})
+}
 
 // TestStateSyncRestoresReplica checks the replication primitive end to end
-// over the in-memory backend: one state-sync frame makes the replica's
-// sample byte-identical to the pushed state, re-application is idempotent,
-// and a second frame supersedes the first.
+// over the in-memory backend: one state-frame makes the replica's sample
+// byte-identical to the pushed state, re-application is idempotent, and a
+// second frame supersedes the first.
 func TestStateSyncRestoresReplica(t *testing.T) {
 	coord := core.NewInfiniteCoordinator(4)
 	srv := NewCoordinatorServer(coord)
@@ -29,11 +36,11 @@ func TestStateSyncRestoresReplica(t *testing.T) {
 	sc := NewMemSync(srv)
 	defer sc.Close()
 
-	first := sample(
+	first := infiniteState(4,
 		netsim.SampleEntry{Key: "a", Hash: 0.10},
 		netsim.SampleEntry{Key: "b", Hash: 0.20},
 	)
-	if _, err := sc.Sync(0, 1, 5, 1, first); err != nil {
+	if _, err := sc.SyncFrame(0, 1, 5, first); err != nil {
 		t.Fatal(err)
 	}
 	got := srv.Sample()
@@ -41,15 +48,15 @@ func TestStateSyncRestoresReplica(t *testing.T) {
 		t.Fatalf("replica sample after sync: %+v", got)
 	}
 	// Idempotent re-application.
-	if _, err := sc.Sync(0, 1, 5, 1, first); err != nil {
+	if _, err := sc.SyncFrame(0, 1, 5, first); err != nil {
 		t.Fatal(err)
 	}
 	if again := srv.Sample(); len(again) != 2 {
 		t.Fatalf("re-applied sync changed the sample: %+v", again)
 	}
 	// A newer frame replaces the state outright (no merging).
-	second := sample(netsim.SampleEntry{Key: "c", Hash: 0.05})
-	if _, err := sc.Sync(0, 2, 6, 1, second); err != nil {
+	second := infiniteState(4, netsim.SampleEntry{Key: "c", Hash: 0.05})
+	if _, err := sc.SyncFrame(0, 2, 6, second); err != nil {
 		t.Fatal(err)
 	}
 	got = srv.Sample()
@@ -63,7 +70,7 @@ func TestStateSyncRestoresReplica(t *testing.T) {
 }
 
 // TestStateSyncEpochFencing checks the promotion/fencing rules: promote
-// ratchets the epoch up (idempotently, never down), and a state-sync stamped
+// ratchets the epoch up (idempotently, never down), and a state-frame stamped
 // with a stale epoch is rejected while its ack reveals the newer epoch to
 // the deposed sender.
 func TestStateSyncEpochFencing(t *testing.T) {
@@ -87,7 +94,7 @@ func TestStateSyncEpochFencing(t *testing.T) {
 	}
 	// A deposed primary's sync (epoch 0) is fenced: not applied, and the ack
 	// carries the newer epoch.
-	ackEpoch, err := sc.Sync(0, 1, 0, 1, sample(netsim.SampleEntry{Key: "stale", Hash: 0.01}))
+	ackEpoch, err := sc.SyncFrame(0, 1, 0, infiniteState(4, netsim.SampleEntry{Key: "stale", Hash: 0.01}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,31 +105,18 @@ func TestStateSyncEpochFencing(t *testing.T) {
 		t.Fatalf("stale sync was applied: %+v", got)
 	}
 	// The new primary's sync (epoch 2) applies.
-	if _, err := sc.Sync(2, 1, 0, 1, sample(netsim.SampleEntry{Key: "fresh", Hash: 0.02})); err != nil {
+	if _, err := sc.SyncFrame(2, 1, 0, infiniteState(4, netsim.SampleEntry{Key: "fresh", Hash: 0.02})); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Sample(); len(got) != 1 || got[0].Key != "fresh" {
 		t.Fatalf("current-epoch sync not applied: %+v", got)
 	}
 	// Within an epoch, an older sequence number cannot roll state back.
-	if _, err := sc.Sync(2, 0, 0, 1, sample(netsim.SampleEntry{Key: "old", Hash: 0.03})); err != nil {
+	if _, err := sc.SyncFrame(2, 0, 0, infiniteState(4, netsim.SampleEntry{Key: "old", Hash: 0.03})); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Sample(); len(got) != 1 || got[0].Key != "fresh" {
 		t.Fatalf("stale-seq sync rolled state back: %+v", got)
-	}
-}
-
-// TestStateSyncRequiresRestorableNode checks that pushing state at a
-// coordinator that cannot restore it is a protocol error, not a silent drop.
-func TestStateSyncRequiresRestorableNode(t *testing.T) {
-	srv := NewCoordinatorServer(core.NewBroadcastCoordinator(1)) // not Restorable
-	defer srv.Close()
-	sc := NewMemSync(srv)
-	defer sc.Close()
-	_, err := sc.Sync(0, 1, 0, 1, nil)
-	if err == nil || !strings.Contains(err.Error(), "not restorable") {
-		t.Fatalf("expected a not-restorable error, got %v", err)
 	}
 }
 

@@ -37,7 +37,7 @@ func TestRouteUpdatePrunesSample(t *testing.T) {
 		key := fmt.Sprintf("prune-%d", i)
 		entries = append(entries, netsim.SampleEntry{Key: key, Hash: hasher.Unit(key)})
 	}
-	if _, err := sc.Sync(0, 1, 0, 1, entries); err != nil {
+	if _, err := sc.SyncFrame(0, 1, 0, infiniteState(64, entries...)); err != nil {
 		t.Fatal(err)
 	}
 	const mid = 1 << 63
@@ -83,11 +83,11 @@ func TestRouteUpdatePrunesSample(t *testing.T) {
 	}
 }
 
-// TestRangeHandoffAbsorbsFiltered checks the receiving half of a handoff:
+// TestStateHandoffAbsorbsFiltered checks the receiving half of a handoff:
 // only the entries in the carried range are absorbed, absorption merges with
 // (never replaces) the local sample, application is idempotent, and stale
 // handoffs are fenced by route version.
-func TestRangeHandoffAbsorbsFiltered(t *testing.T) {
+func TestStateHandoffAbsorbsFiltered(t *testing.T) {
 	hasher := hashing.NewMurmur2(12)
 	rh := testRouteHash(hasher)
 	srv := NewCoordinatorServer(core.NewInfiniteCoordinator(64))
@@ -98,7 +98,7 @@ func TestRangeHandoffAbsorbsFiltered(t *testing.T) {
 
 	// The receiver already owns some state of its own.
 	local := netsim.SampleEntry{Key: "local-1", Hash: hasher.Unit("local-1")}
-	if _, err := sc.Sync(0, 1, 0, 1, []netsim.SampleEntry{local}); err != nil {
+	if _, err := sc.SyncFrame(0, 1, 0, infiniteState(64, local)); err != nil {
 		t.Fatal(err)
 	}
 	const mid = 1 << 63
@@ -111,7 +111,8 @@ func TestRangeHandoffAbsorbsFiltered(t *testing.T) {
 			wantAbsorbed++
 		}
 	}
-	if _, err := sc.Handoff(2, mid, 0, 1, donor); err != nil {
+	donorState := infiniteState(64, donor...)
+	if _, err := sc.HandoffState(2, mid, 0, donorState); err != nil {
 		t.Fatal(err)
 	}
 	got := srv.Sample()
@@ -129,7 +130,7 @@ func TestRangeHandoffAbsorbsFiltered(t *testing.T) {
 		t.Fatal("handoff replaced the receiver's own state instead of merging")
 	}
 	// Idempotent re-application.
-	if _, err := sc.Handoff(2, mid, 0, 1, donor); err != nil {
+	if _, err := sc.HandoffState(2, mid, 0, donorState); err != nil {
 		t.Fatal(err)
 	}
 	if again := srv.Sample(); len(again) != len(got) {
@@ -140,7 +141,7 @@ func TestRangeHandoffAbsorbsFiltered(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizeAfterPrune := len(srv.Sample())
-	ackVer, err := sc.Handoff(4, 0, 0, 1, []netsim.SampleEntry{{Key: "stale", Hash: 0.000001}})
+	ackVer, err := sc.HandoffState(4, 0, 0, infiniteState(64, netsim.SampleEntry{Key: "stale", Hash: 0.000001}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +166,8 @@ func TestRouteFramesRequireRouteHash(t *testing.T) {
 	}
 	sc2 := NewMemSync(srv)
 	defer sc2.Close()
-	if _, err := sc2.Handoff(1, 0, 0, 1, nil); err == nil || !strings.Contains(err.Error(), "routing hash") {
-		t.Fatalf("range-handoff without routing hash: err = %v", err)
+	if _, err := sc2.HandoffState(1, 0, 0, infiniteState(4)); err == nil || !strings.Contains(err.Error(), "routing hash") {
+		t.Fatalf("state-handoff without routing hash: err = %v", err)
 	}
 }
 
@@ -206,7 +207,7 @@ func TestPartitionDeposedPrimaryIsFenced(t *testing.T) {
 	}
 	defer client.Close()
 
-	// Pre-partition: ingest under a live lease, then one state-sync catches
+	// Pre-partition: ingest under a live lease, then one state-frame catches
 	// the replica up.
 	oracle := core.NewReference(s, hasher)
 	for i := 0; i < 200; i++ {
@@ -219,10 +220,10 @@ func TestPartitionDeposedPrimaryIsFenced(t *testing.T) {
 	if err := client.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	entries, u, slot, _ := primary.SyncState()
+	st, _, slot, _ := primary.SnapshotSync()
 	push := NewMemSync(replica)
 	defer push.Close()
-	if _, err := push.Sync(0, 1, slot, u, entries); err != nil {
+	if _, err := push.SyncFrame(0, 1, slot, core.EncodeState(st)); err != nil {
 		t.Fatal(err)
 	}
 	if got := replica.Sample(); len(got) != s {
@@ -303,8 +304,8 @@ func TestPartitionDeposedPrimaryIsFenced(t *testing.T) {
 
 	// Defense in depth: even the deposed primary's state push stays fenced
 	// by epoch, and the ack teaches it the newer epoch.
-	entries, u, slot, _ = primary.SyncState()
-	ackEpoch, err := push.Sync(0, 2, slot, u, entries)
+	st, _, slot, _ = primary.SnapshotSync()
+	ackEpoch, err := push.SyncFrame(0, 2, slot, core.EncodeState(st))
 	if err != nil {
 		t.Fatal(err)
 	}

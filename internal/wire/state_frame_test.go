@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/sliding"
 )
 
-// TestStateFrameSyncSlidingCoordinator proves the generic state frame does
-// what the flat state-sync never could: replicate a sliding-window
-// coordinator — candidate store, current candidate, and slot clock — in one
-// frame, with the same epoch fencing semantics.
+// TestStateFrameSyncSlidingCoordinator proves the state frame replicates a
+// sliding-window coordinator — candidate store, current candidate, and slot
+// clock — in one frame, with the same epoch fencing semantics as the
+// bottom-s sampler.
 func TestStateFrameSyncSlidingCoordinator(t *testing.T) {
 	primary := sliding.NewCoordinator()
 	for i, key := range []string{"aa", "bb", "cc", "dd"} {
@@ -65,26 +64,6 @@ func TestStateFrameSyncSlidingCoordinator(t *testing.T) {
 	}
 	if string(core.EncodeState(st)) != string(encoded) {
 		t.Fatal("fetched state not byte-identical to the synced one")
-	}
-}
-
-// TestLegacyStateSyncStillApplies pins the one-release compatibility
-// window: the flat-sample state-sync frame keeps applying to restorable
-// (infinite-window) coordinators even though new peers send state frames.
-func TestLegacyStateSyncStillApplies(t *testing.T) {
-	node := core.NewInfiniteCoordinator(4)
-	srv := NewCoordinatorServer(node)
-	sc := NewMemSync(srv)
-	defer sc.Close()
-	defer srv.Close()
-
-	entries := []netsim.SampleEntry{{Key: "x", Hash: 0.1}, {Key: "y", Hash: 0.2}}
-	if _, err := sc.Sync(0, 1, 0, 1, entries); err != nil {
-		t.Fatal(err)
-	}
-	got := node.Sample()
-	if len(got) != 2 || got[0].Key != "x" || got[1].Key != "y" {
-		t.Fatalf("legacy state-sync did not apply: %v", got)
 	}
 }
 

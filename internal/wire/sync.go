@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 )
 
@@ -52,17 +51,23 @@ const staleRouteText = "stale route"
 // API (legacy simulation nodes such as core.NewBroadcastCoordinator;
 // sliding.MultiCoordinator gained real Snapshot/Restore via the
 // section-level slot clock and no longer trips this). Every caller path
-// that asks such a node for a snapshot —
-// replica attach, the generic sync push, cluster handoff, dds backup — gets
-// an error wrapping this sentinel instead of a silent degrade; callers
-// detect it with errors.Is, and the public dds package re-exports it.
+// that asks such a node for its state — replica attach, the state-frame
+// push, route-update, cluster handoff, dds backup — gets an error wrapping
+// this sentinel instead of a silent degrade; callers detect it with
+// errors.Is, and the public dds package re-exports it.
 var ErrNotSnapshottable = errors.New("wire: coordinator node does not support state snapshots")
 
 // notSnapshottableText is the server-side error string of a refused
 // snapshot operation. It is matched on the client side to restore the typed
-// sentinel across the wire (the FrameError payload is just a string), and
-// cluster.Resharder's legacy-donor fallback matches the same text.
+// sentinel across the wire (the FrameError payload is just a string).
 const notSnapshottableText = "does not support state snapshots"
+
+// notSnapshottableFrame is the error frame a node without core.Snapshotter
+// answers every state request with (state-frame, state-handoff, snapshot,
+// route-update), so coordError types each refusal the same way.
+func notSnapshottableFrame(frameType string) *Frame {
+	return &Frame{Type: FrameError, Error: frameType + ": coordinator node " + notSnapshottableText}
+}
 
 // coordError turns a FrameError payload into a client-side error,
 // re-attaching the typed sentinel for snapshot-capability refusals so
@@ -79,10 +84,11 @@ func coordError(msg string) error {
 	return errors.New("wire: coordinator error: " + msg)
 }
 
-// SyncClient speaks the replication half of the protocol to one coordinator
-// server: state-sync pushes (primary → replica) and promote/probe exchanges
-// (failover clients → replica). One SyncClient is used by one goroutine at a
-// time.
+// SyncClient speaks the control half of the protocol to one coordinator
+// server: state-frame pushes (primary → replica), promote/probe exchanges
+// (failover clients → replica), lease renewals, and the reshard driver's
+// route-update, state-handoff, and snapshot requests. One SyncClient is used
+// by one goroutine at a time.
 type SyncClient struct {
 	conn   io.Closer
 	fc     frameConn
@@ -157,16 +163,6 @@ func (c *SyncClient) roundTrip(f *Frame) (ackEpoch, ackSeq uint64, err error) {
 	}
 }
 
-// Sync pushes the primary's full sample — with its epoch, a per-epoch
-// sequence number, and the slot/threshold metadata — and returns the
-// replica's resulting epoch. ackEpoch > epoch means the replica has been
-// promoted past the sender: the sender is a deposed primary and the frame
-// was fenced off, not applied.
-func (c *SyncClient) Sync(epoch, seq uint64, slot int64, u float64, entries []netsim.SampleEntry) (ackEpoch uint64, err error) {
-	ackEpoch, _, err = c.roundTrip(&Frame{Type: FrameStateSync, Epoch: epoch, Seq: seq, Slot: slot, U: u, Entries: entries})
-	return ackEpoch, err
-}
-
 // Promote asks the server to assume the given epoch (idempotent: epochs only
 // ever ratchet up) and returns its resulting epoch. Promote(0) never changes
 // anything and doubles as the health/epoch probe.
@@ -195,10 +191,12 @@ func (c *SyncClient) RenewLeaseTraced(tc obs.TraceContext, epoch uint64, interva
 	return ackEpoch, err
 }
 
-// SyncFrame pushes one encoded core.State as a generic state-frame — the
-// replication push for snapshot-capable samplers of every kind — and returns
-// the replica's resulting epoch, exactly like Sync. ackEpoch > epoch means
-// the frame was fenced off (see ErrDeposed, which the caller should wrap).
+// SyncFrame pushes one encoded core.State as a state-frame — the primary's
+// full state, with its epoch, a per-epoch sequence number, and the slot
+// metadata — and returns the replica's resulting epoch. ackEpoch > epoch
+// means the replica has been promoted past the sender: the sender is a
+// deposed primary and the frame was fenced off, not applied (see ErrDeposed,
+// which the caller should wrap).
 func (c *SyncClient) SyncFrame(epoch, seq uint64, slot int64, encoded []byte) (ackEpoch uint64, err error) {
 	return c.SyncFrameTraced(obs.TraceContext{}, epoch, seq, slot, encoded)
 }
@@ -224,7 +222,7 @@ func (c *SyncClient) HandoffState(ver uint64, lo, hi uint64, encoded []byte) (ac
 
 // FetchState requests the server's full state (a snapshot frame answered by
 // a state-frame) and returns the decoded state with its epoch and slot
-// metadata — the capture half of a generic handoff or backup.
+// metadata — the capture half of a handoff or backup.
 func (c *SyncClient) FetchState() (st core.State, epoch uint64, slot int64, err error) {
 	if err := writeFlush(c.fc, &Frame{Type: FrameSnapshot}); err != nil {
 		return core.State{}, 0, 0, fmt.Errorf("wire: send snapshot request: %w", err)
@@ -279,15 +277,6 @@ func (c *SyncClient) RouteUpdate(ver uint64, lo, hi uint64) (ackVer uint64, err 
 	return ackVer, err
 }
 
-// Handoff ships a donor shard's snapshot to the server, which absorbs the
-// entries hashing into [lo, hi) into its own sample (bottom-s of the union).
-// Application is idempotent; a handoff stamped below the server's applied
-// route version is fenced off.
-func (c *SyncClient) Handoff(ver uint64, lo, hi uint64, u float64, entries []netsim.SampleEntry) (ackVer uint64, err error) {
-	_, ackVer, err = c.roundTrip(&Frame{Type: FrameRangeHandoff, Seq: ver, Lo: lo, Hi: hi, U: u, Entries: entries})
-	return ackVer, err
-}
-
 // RouteUpdateAddr dials addr, sends one route-update frame, and returns the
 // server's resulting route version.
 func RouteUpdateAddr(addr string, ver, lo, hi uint64, codec Codec) (uint64, error) {
@@ -297,17 +286,6 @@ func RouteUpdateAddr(addr string, ver, lo, hi uint64, codec Codec) (uint64, erro
 	}
 	defer c.Close()
 	return c.RouteUpdate(ver, lo, hi)
-}
-
-// HandoffAddr dials addr, sends one range-handoff frame, and returns the
-// server's resulting route version.
-func HandoffAddr(addr string, ver, lo, hi uint64, entries []netsim.SampleEntry, codec Codec) (uint64, error) {
-	c, err := DialSync(addr, codec)
-	if err != nil {
-		return 0, err
-	}
-	defer c.Close()
-	return c.Handoff(ver, lo, hi, 1, entries)
 }
 
 // PromoteAddr dials addr, sends one promote frame for the given epoch, and

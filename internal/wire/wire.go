@@ -42,11 +42,13 @@
 // README's pipelined-ingest section.
 //
 // Replication rides the same transport: a primary coordinator pushes its
-// full bottom-s sample to warm replicas as "state-sync" frames (answered by
-// "state-ack"), and failing-over clients send "promote" frames carrying a
-// monotone epoch number. Both are handled by any CoordinatorServer whose
-// node implements netsim.Restorable; see internal/replica for the group
-// manager and the README's replication section for the protocol.
+// full state — one encoded core.State — to warm replicas as "state-frame"
+// frames (answered by "state-ack"), and failing-over clients send "promote"
+// frames carrying a monotone epoch number. Resharding moves state the same
+// way, as "state-handoff" frames filtered to a routing-hash range. State
+// frames are handled by any CoordinatorServer whose node implements
+// core.Snapshotter; see internal/replica for the group manager and the
+// README's replication section for the protocol.
 package wire
 
 import (
@@ -82,31 +84,26 @@ type Frame struct {
 	// Synchronous clients leave it zero.
 	Seq uint64 `json:"seq,omitempty"`
 	// Epoch is the replication fencing number. Promote frames carry the epoch
-	// the sender wants the receiver to assume; state-sync frames are stamped
+	// the sender wants the receiver to assume; state-frame pushes are stamped
 	// with the sending primary's epoch and are rejected by replicas that have
 	// been promoted past it; state-ack frames echo the receiver's current
 	// epoch so a stale primary (or a probing client) learns the group moved on.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// U is the threshold metadata of a state-sync frame: the primary's
-	// current threshold at the moment the sample was captured. The receiver
-	// re-derives its threshold from the restored sample, so U is carried for
-	// observability and cross-checking, not correctness.
-	U float64 `json:"u,omitempty"`
 	// Lo and Hi delimit a half-open routing-hash range [Lo, Hi) on the
 	// resharding frames: route-update carries the receiver's newly owned
-	// range, range-handoff carries the range whose entries the receiver must
+	// range, state-handoff carries the range whose entries the receiver must
 	// absorb. Hi == 0 means the range extends to 2^64 (the top of the routing
 	// space), so the full space is Lo == 0, Hi == 0. On these frames Seq
 	// carries the route-table version, the resharding fencing number: a
 	// coordinator that has applied version v ignores route frames stamped
-	// below it, exactly like the replication epoch fences state-syncs.
+	// below it, exactly like the replication epoch fences state-frames.
 	Lo uint64 `json:"lo,omitempty"`
 	Hi uint64 `json:"hi,omitempty"`
-	// State is the payload of the generic state frames (state-frame and
+	// State is the payload of the state frames (state-frame and
 	// state-handoff): one encoded core.State, kind-tagged and version-fenced
 	// by core's own encoding, so the same frame layout replicates or hands
-	// off every sampler kind — including the sliding-window coordinator,
-	// whose candidate store never fit in a flat Entries list.
+	// off every sampler kind, the sliding-window coordinator's candidate
+	// store included.
 	State []byte `json:"state,omitempty"`
 	// Bounds, Slots, and Groups are the payload of a route-push frame: the
 	// full routing table the coordinator wants its connected sites to adopt.
@@ -161,16 +158,12 @@ const (
 	FrameSample  = "sample"  // coordinator -> client: the current sample
 	FrameError   = "error"   // coordinator -> client: protocol violation
 	// Replication frames (see internal/replica).
-	FrameStateSync = "state-sync" // primary -> replica: full sample + epoch/seq/slot metadata
-	FrameStateAck  = "state-ack"  // replica -> primary/prober: applied (or current) epoch and sync seq
-	FramePromote   = "promote"    // client -> replica: assume this epoch (become primary)
+	FrameStateAck = "state-ack" // replica -> primary/prober: applied (or current) epoch and sync seq
+	FramePromote  = "promote"   // client -> replica: assume this epoch (become primary)
 	// Resharding frames (see internal/cluster's Resharder).
-	FrameRouteUpdate  = "route-update"  // reshard driver -> coordinator: own [Lo,Hi) as of route version Seq; prune the rest
-	FrameRangeHandoff = "range-handoff" // reshard driver -> coordinator: absorb the carried entries that hash into [Lo,Hi)
-	// Generic state frames (the unified Snapshot/Restore API). They carry an
-	// encoded core.State and supersede the flat-sample state-sync and
-	// range-handoff payloads, which legacy peers may still send for one
-	// release (restorable nodes keep applying them).
+	FrameRouteUpdate = "route-update" // reshard driver -> coordinator: own [Lo,Hi) as of route version Seq; prune the rest
+	// State frames (the unified Snapshot/Restore API): each carries one
+	// encoded core.State, the only form in which state moves between nodes.
 	FrameState        = "state-frame"   // primary/prober -> node: full sampler state (sync push or snapshot reply)
 	FrameStateHandoff = "state-handoff" // reshard driver -> coordinator: absorb the carried state filtered to [Lo,Hi)
 	FrameSnapshot     = "snapshot"      // client -> coordinator: request the full state; answered by a state-frame
@@ -194,24 +187,24 @@ type CoordinatorServer struct {
 		queries int
 	}
 	// Replication state: the highest epoch this server has been promoted to
-	// (or received a state-sync at), and the sequence number of the last
-	// applied state-sync within that epoch. State-sync frames from lower
-	// epochs are fenced off — a deposed primary cannot overwrite a promoted
-	// replica — and lower sequence numbers within the epoch are ignored, so
+	// (or received a state-frame at), and the sequence number of the last
+	// applied state-frame within that epoch. State-frames from lower epochs
+	// are fenced off — a deposed primary cannot overwrite a promoted replica
+	// — and lower sequence numbers within the epoch are ignored, so
 	// re-deliveries and reordering are harmless (application is idempotent
-	// anyway: every frame carries the full sample).
+	// anyway: every frame carries the full state).
 	epoch    uint64
 	syncSeq  uint64
-	synced   bool  // at least one state-sync applied in the current epoch
+	synced   bool  // at least one state-frame applied in the current epoch
 	promoted bool  // a promote frame has been accepted (role visibility)
-	lastSlot int64 // highest slot seen across offers (state-sync slot metadata)
+	lastSlot int64 // highest slot seen across offers (state-frame slot metadata)
 	closing  bool  // Close has begun; reject freshly accepted connections
 	// Resharding state: the route-table version this server has applied (a
 	// monotone ratchet, like epoch — route frames stamped below it are
 	// fenced off), the routing-hash function used to filter sample entries
 	// by range (set by SetRouteHash; route frames are rejected without it),
 	// and a count of state mutations applied outside the offer path
-	// (state-syncs, handoffs, prunes) so replication change detection sees
+	// (state-frames, handoffs, prunes) so replication change detection sees
 	// sample changes that offer counts alone would miss.
 	routeVer  uint64
 	routeHash func(key string) uint64
@@ -299,7 +292,7 @@ func (s *CoordinatorServer) Close() error {
 }
 
 // Epoch returns the server's current replication epoch (the highest promote
-// or state-sync epoch it has accepted).
+// or state-frame epoch it has accepted).
 func (s *CoordinatorServer) Epoch() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -315,7 +308,7 @@ func (s *CoordinatorServer) Promoted() bool {
 
 // SetRouteHash installs the cluster's routing-hash function (the rehashed
 // digest the ShardRouter partitions on). It must be set before the server can
-// apply route-update or range-handoff frames: both filter sample entries by
+// apply route-update or state-handoff frames: both filter sample entries by
 // their routing hash, which only the shared hash function can compute.
 func (s *CoordinatorServer) SetRouteHash(fn func(key string) uint64) {
 	s.mu.Lock()
@@ -446,17 +439,6 @@ func routeInRange(x, lo, hi uint64) bool {
 	return x >= lo && (hi == 0 || x < hi)
 }
 
-// filterRange keeps the entries whose routing hash falls in [lo, hi).
-func filterRange(entries []netsim.SampleEntry, lo, hi uint64, routeHash func(string) uint64) []netsim.SampleEntry {
-	kept := make([]netsim.SampleEntry, 0, len(entries))
-	for _, e := range entries {
-		if routeInRange(routeHash(e.Key), lo, hi) {
-			kept = append(kept, e)
-		}
-	}
-	return kept
-}
-
 // track registers a live connection so Close can force it shut. It returns
 // false when the server is already closing — a connection accepted in the
 // race window between the listener closing and the force-close pass must be
@@ -494,42 +476,29 @@ func (s *CoordinatorServer) Sample() []netsim.SampleEntry {
 }
 
 // Thresholder is implemented by coordinator nodes that expose their current
-// threshold u (core.InfiniteCoordinator does); SyncState uses it to fill a
-// state-sync frame's threshold metadata.
+// threshold u (core.InfiniteCoordinator and sliding.Coordinator do), so
+// wrappers and instruments can read u without knowing the sampler kind.
 type Thresholder interface {
 	Threshold() float64
 }
 
 // SnapshotSync atomically captures the node's full state as a core.State —
-// the generic replication capture — together with the slot clock and the
-// activity counter SyncState documents. ok is false when the node predates
-// the Snapshot/Restore API; callers then fall back to the flat-sample
-// SyncState capture.
+// the replication capture — together with the highest slot seen in ingest
+// and an activity counter: offers dispatched plus mutations applied through
+// state, handoff, and route frames. The counter lets a replication syncer
+// skip pushing frames while the primary's state is unchanged. (Mutations
+// count because a resharding prune or handoff changes the sample without any
+// offer arriving; replicas must still learn of it.) ok is false when the
+// node does not implement core.Snapshotter; such nodes only serve
+// unreplicated groups, so callers skip them.
 func (s *CoordinatorServer) SnapshotSync() (st core.State, ok bool, slot int64, activity int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sn, isSnap := s.node.(core.Snapshotter)
 	if !isSnap {
-		return core.State{}, false, s.lastSlot, s.stats.offers + s.mutations
+		return core.State{}, false, 0, 0
 	}
 	return sn.Snapshot(), true, s.lastSlot, s.stats.offers + s.mutations
-}
-
-// SyncState atomically captures everything a state-sync frame carries: the
-// node's full sample, its threshold (1 if the node does not expose one), the
-// highest slot seen in ingest, and an activity counter — offers dispatched
-// plus mutations applied through route/handoff/state-sync frames — that lets
-// a replication syncer skip pushing frames while the primary's state is
-// unchanged. (Mutations count because a resharding prune or handoff changes
-// the sample without any offer arriving; replicas must still learn of it.)
-func (s *CoordinatorServer) SyncState() (entries []netsim.SampleEntry, u float64, slot int64, activity int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	u = 1
-	if t, ok := s.node.(Thresholder); ok {
-		u = t.Threshold()
-	}
-	return s.node.Sample(), u, s.lastSlot, s.stats.offers + s.mutations
 }
 
 func (s *CoordinatorServer) acceptLoop() {
@@ -815,41 +784,6 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			if err := writeFlush(fc, &resp); err != nil {
 				return
 			}
-		case FrameStateSync:
-			// A primary is pushing its full sample. Fencing first: a frame
-			// stamped with an epoch below ours comes from a deposed primary
-			// and must not overwrite promoted state; the ack's epoch tells it
-			// so. Within the current epoch, only sequence numbers at or above
-			// the last applied one are applied (re-application is idempotent —
-			// the frame carries the whole sample — but an old frame must not
-			// roll a newer sample back).
-			rn, ok := s.node.(netsim.Restorable)
-			if !ok {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "state-sync: coordinator node is not restorable"})
-				return
-			}
-			s.mu.Lock()
-			if f.Epoch > s.epoch {
-				s.epoch, s.syncSeq, s.synced = f.Epoch, 0, false
-			}
-			fenced := f.Epoch < s.epoch
-			if !fenced && (!s.synced || f.Seq >= s.syncSeq) {
-				rn.RestoreSample(f.Entries)
-				s.syncSeq, s.synced = f.Seq, true
-				s.mutations++
-			}
-			resp = Frame{Type: FrameStateAck, Epoch: s.epoch, Seq: s.syncSeq}
-			s.mu.Unlock()
-			if fenced {
-				obsEpochFences.Inc()
-				fenceEvent("epoch", f.Type, f.Epoch, resp.Epoch)
-			}
-			if err := flushAck(); err != nil {
-				return
-			}
-			if err := writeFlush(fc, &resp); err != nil {
-				return
-			}
 		case FramePromote:
 			// Epoch-numbered promotion: assume the requested epoch if it is
 			// ahead of ours, and echo the resulting epoch either way. The
@@ -923,13 +857,11 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			// monotonically; a frame stamped at or below the applied version
 			// is fenced off (the ack's Seq tells the sender where the server
 			// is), so a delayed route-update can never resurrect a
-			// handed-off range. Snapshot-capable nodes prune through their
-			// full state (candidate store included); legacy restorable nodes
-			// prune the flat sample.
-			sn, isSnap := s.node.(core.Snapshotter)
-			rn, isRest := s.node.(netsim.Restorable)
-			if !isSnap && !isRest {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "route-update: coordinator node is not restorable"})
+			// handed-off range. The prune runs through the node's full state,
+			// candidate store included.
+			sn, ok := s.node.(core.Snapshotter)
+			if !ok {
+				_ = writeFlush(fc, notSnapshottableFrame(f.Type))
 				return
 			}
 			s.mu.Lock()
@@ -946,15 +878,11 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 				// registered site has flipped), offers outside it are NACKed
 				// instead of silently landing on a shard that will prune them.
 				s.routeLo, s.routeHi = f.Lo, f.Hi
-				if isSnap {
-					keep := func(key string) bool { return routeInRange(s.routeHash(key), f.Lo, f.Hi) }
-					if err := sn.Restore(core.FilterState(sn.Snapshot(), keep)); err != nil {
-						s.mu.Unlock()
-						_ = writeFlush(fc, &Frame{Type: FrameError, Error: "route-update: " + err.Error()})
-						return
-					}
-				} else {
-					rn.RestoreSample(filterRange(s.node.Sample(), f.Lo, f.Hi, s.routeHash))
+				keep := func(key string) bool { return routeInRange(s.routeHash(key), f.Lo, f.Hi) }
+				if err := sn.Restore(core.FilterState(sn.Snapshot(), keep)); err != nil {
+					s.mu.Unlock()
+					_ = writeFlush(fc, &Frame{Type: FrameError, Error: "route-update: " + err.Error()})
+					return
 				}
 				s.mutations++
 			}
@@ -970,59 +898,19 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			if err := writeFlush(fc, &resp); err != nil {
 				return
 			}
-		case FrameRangeHandoff:
-			// A reshard driver hands this coordinator a donor shard's
-			// snapshot. The entries hashing into [Lo, Hi) are merged into the
-			// node's sample — applied as offers, so the result is the exact
-			// bottom-s of the union of the snapshot and whatever this shard
-			// has ingested since the cutover — and everything else in the
-			// frame is ignored (it belongs to some other successor).
-			// Application is idempotent, so the warm handoff before the
-			// cutover and the settling handoff after it can carry
-			// overlapping snapshots safely. Handoffs stamped below the
-			// applied route version are fenced: the range has since moved
-			// on, and absorbing a stale snapshot could resurrect keys this
-			// shard no longer owns.
-			rn, ok := s.node.(netsim.Restorable)
-			if !ok {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "range-handoff: coordinator node is not restorable"})
-				return
-			}
-			s.mu.Lock()
-			if s.routeHash == nil {
-				s.mu.Unlock()
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "range-handoff: no routing hash configured on this coordinator"})
-				return
-			}
-			fenced := f.Seq < s.routeVer
-			if !fenced {
-				incoming := filterRange(f.Entries, f.Lo, f.Hi, s.routeHash)
-				if len(incoming) > 0 {
-					rn.RestoreSample(append(s.node.Sample(), incoming...))
-					s.mutations++
-				}
-			}
-			resp = Frame{Type: FrameStateAck, Epoch: s.epoch, Seq: s.routeVer}
-			s.mu.Unlock()
-			if fenced {
-				obsRouteFences.Inc()
-				fenceEvent("route", f.Type, f.Seq, resp.Seq)
-			}
-			if err := flushAck(); err != nil {
-				return
-			}
-			if err := writeFlush(fc, &resp); err != nil {
-				return
-			}
 		case FrameState:
-			// Generic state-sync: the payload is one encoded core.State, so
+			// A primary is pushing its full state: one encoded core.State, so
 			// any snapshot-capable sampler — sliding-window candidate stores
-			// included — replicates through the same frame. Fencing is
-			// identical to the legacy state-sync: lower epochs are deposed
-			// primaries, lower sequence numbers within the epoch are stale.
+			// included — replicates through the same frame. Fencing first: a
+			// frame stamped with an epoch below ours comes from a deposed
+			// primary and must not overwrite promoted state; the ack's epoch
+			// tells it so. Within the current epoch, only sequence numbers at
+			// or above the last applied one are applied (re-application is
+			// idempotent — the frame carries the whole state — but an old
+			// frame must not roll a newer state back).
 			sn, ok := s.node.(core.Snapshotter)
 			if !ok {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "state-frame: coordinator node does not support state snapshots"})
+				_ = writeFlush(fc, notSnapshottableFrame(f.Type))
 				return
 			}
 			st, derr := core.DecodeState(f.State)
@@ -1068,16 +956,22 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 				return
 			}
 		case FrameStateHandoff:
-			// Generic range handoff: absorb a donor's encoded state filtered
-			// to [Lo, Hi). The incoming sections merge into the node's own
-			// snapshot and the merged state is restored, so each sampler
+			// A reshard driver hands this coordinator a donor shard's encoded
+			// state. The sections filtered to [Lo, Hi) merge into the node's
+			// own snapshot and the merged state is restored, so each sampler
 			// kind applies its own union semantics (bottom-s of the union,
-			// per-copy minimum, non-dominated tuple set). Idempotent, and
-			// fenced below the applied route version like the legacy
-			// range-handoff.
+			// per-copy minimum, non-dominated tuple set) with whatever this
+			// shard has ingested since the cutover; everything else in the
+			// frame belongs to some other successor and is ignored.
+			// Application is idempotent, so the warm handoff before the
+			// cutover and the settling handoff after it can carry
+			// overlapping snapshots safely. Handoffs stamped below the
+			// applied route version are fenced: the range has since moved
+			// on, and absorbing a stale snapshot could resurrect keys this
+			// shard no longer owns.
 			sn, ok := s.node.(core.Snapshotter)
 			if !ok {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "state-handoff: coordinator node does not support state snapshots"})
+				_ = writeFlush(fc, notSnapshottableFrame(f.Type))
 				return
 			}
 			incoming, derr := core.DecodeState(f.State)
@@ -1123,7 +1017,7 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			// the server's epoch, sync sequence, and slot clock.
 			sn, ok := s.node.(core.Snapshotter)
 			if !ok {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "snapshot: coordinator node does not support state snapshots"})
+				_ = writeFlush(fc, notSnapshottableFrame(f.Type))
 				return
 			}
 			s.mu.Lock()
@@ -1385,7 +1279,7 @@ func (c *SiteClient) Node() netsim.SiteNode { return c.node }
 // connection failure the caller replays these to the promoted replica.
 // Replaying is always safe: offers are idempotent refreshes of a bottom-s
 // sketch, so re-delivering an offer the dead primary did apply (and whose
-// effect survived via a state-sync) changes nothing, while dropping an
+// effect survived via a state push) changes nothing, while dropping an
 // unapplied one could lose sample entries.
 func (c *SiteClient) Unacked() []BatchEntry {
 	c.mu.Lock()
