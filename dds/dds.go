@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"time"
 
 	"repro/internal/cluster"
@@ -433,7 +434,8 @@ func resolveTopology(ctx context.Context, cfg *Config) (*cluster.ShardRouter, []
 }
 
 // Client ingests one site's stream into the cluster and answers queries
-// against it. It is not safe for concurrent use.
+// against it. It is not safe for concurrent use. After Close, Offer, EndSlot
+// and Flush fail with an error wrapping net.ErrClosed.
 type Client struct {
 	cfg    Config
 	router *cluster.ShardRouter
@@ -497,6 +499,9 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Client, error) {
 // sampler. The protocol decides whether anything is sent: most offers cost
 // no communication at all.
 func (c *Client) Offer(key string, slot int64) error {
+	if c.closed {
+		return errClosed
+	}
 	if slot > c.lastSlot {
 		c.lastSlot = slot
 	}
@@ -507,6 +512,9 @@ func (c *Client) Offer(key string, slot int64) error {
 // sites run their expiry-driven promotions. Call it once per slot boundary
 // in sliding-window mode; it is harmless (a flush) otherwise.
 func (c *Client) EndSlot(slot int64) error {
+	if c.closed {
+		return errClosed
+	}
 	if slot > c.lastSlot {
 		c.lastSlot = slot
 	}
@@ -516,7 +524,15 @@ func (c *Client) EndSlot(slot int64) error {
 // Flush ships every buffered offer and drains the pipeline window. On
 // return, every offer this client ever accepted has been acknowledged by a
 // live coordinator.
-func (c *Client) Flush() error { return c.sc.Flush() }
+func (c *Client) Flush() error {
+	if c.closed {
+		return errClosed
+	}
+	return c.sc.Flush()
+}
+
+// errClosed is what ingest calls on a closed Client return.
+var errClosed = fmt.Errorf("dds: client is closed: %w", net.ErrClosed)
 
 // Query returns the cluster-wide distinct sample: the per-shard samples
 // merged into the exact global bottom-s (or, in sliding-window mode, the

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
 	"repro/dds"
 	"repro/internal/core"
 	"repro/internal/hashing"
+	"repro/internal/obs"
 )
 
 // TestPublicAPIInfiniteLifecycle drives the whole public surface end to end
@@ -368,5 +370,64 @@ func TestPublicAPILeaseFencing(t *testing.T) {
 
 	if err := client.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIngestAfterCloseFails: once a Client is closed, Offer, EndSlot and
+// Flush fail with an error wrapping net.ErrClosed on every transport, and no
+// shard connection is re-dialed behind them: no hello frame reaches a
+// coordinator.
+func TestIngestAfterCloseFails(t *testing.T) {
+	const (
+		sampleSize = 8
+		seed       = 7
+	)
+	ctx := context.Background()
+	cl, err := dds.Serve(ctx, dds.Config{Listen: "127.0.0.1:0", Shards: 2, SampleSize: sampleSize, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	hellos := func() uint64 {
+		snap := obs.Default().Snapshot()
+		return snap.Counter(`dds_wire_frames_decoded_total{kind="hello"}`)
+	}
+	for _, tc := range []struct {
+		name string
+		opts []dds.Option
+	}{
+		{"json-per-offer", []dds.Option{dds.WithCodec(dds.CodecJSON)}},
+		{"binary-batched", []dds.Option{dds.WithCodec(dds.CodecBinary), dds.WithBatch(16)}},
+		{"pipelined", []dds.Option{dds.WithCodec(dds.CodecBinary), dds.WithBatch(16), dds.WithPipelining(4)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, err := dds.Open(ctx, dds.Config{Coordinators: cl.Groups(), SampleSize: sampleSize, Seed: seed}, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 500; i++ {
+				if err := client.Offer(fmt.Sprintf("key-%d", i), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := client.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := hellos()
+			for i := 0; i < 2000; i++ {
+				if err := client.Offer(fmt.Sprintf("late-%d", i), 0); !errors.Is(err, net.ErrClosed) {
+					t.Fatalf("Offer %d after Close: %v, want an error wrapping net.ErrClosed", i, err)
+				}
+			}
+			if err := client.EndSlot(1); !errors.Is(err, net.ErrClosed) {
+				t.Fatalf("EndSlot after Close: %v, want an error wrapping net.ErrClosed", err)
+			}
+			if err := client.Flush(); !errors.Is(err, net.ErrClosed) {
+				t.Fatalf("Flush after Close: %v, want an error wrapping net.ErrClosed", err)
+			}
+			if d := hellos() - before; d != 0 {
+				t.Fatalf("%d hello frames after Close: a shard connection was re-dialed", d)
+			}
+		})
 	}
 }

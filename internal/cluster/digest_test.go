@@ -47,7 +47,7 @@ var digestOpts = []wire.Options{
 
 // listenFor starts a cluster of infinite-window coordinators of sample size
 // s, or sliding-window ones when windowed.
-func listenFor(t *testing.T, shards, s int, windowed bool) *Server {
+func listenFor(t testing.TB, shards, s int, windowed bool) *Server {
 	t.Helper()
 	srv, err := Listen("127.0.0.1:0", shards, func(int) netsim.CoordinatorNode {
 		if windowed {
@@ -282,5 +282,53 @@ func TestDroppedArrivalAllocatesNothing(t *testing.T) {
 				t.Fatalf("a dropped arrival allocates %.1f times, want 0", allocs)
 			}
 		})
+	}
+}
+
+// BenchmarkObserveDropped times the paper's common case on the client side:
+// an arrival the site filter drops, through a warmed two-shard pipelined
+// binary client. It must report 0 allocs/op.
+func BenchmarkObserveDropped(b *testing.B) {
+	const (
+		shards = 2
+		s      = 16
+		seed   = 8
+	)
+	h := hashing.NewMurmur2(seed)
+	srv := listenFor(b, shards, s, false)
+	client, err := DialSites(srv.Addrs(), NewShardRouter(shards, h), func(int) netsim.SiteNode {
+		return core.NewInfiniteSite(0, h)
+	}, wire.Options{Codec: wire.CodecBinary, BatchSize: 64, Window: wire.DefaultWindow})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	for _, key := range stream.Keys(dataset.Uniform(4000, 2000, seed).Generate()) {
+		if err := client.Observe(key, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := client.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	// Every shard's threshold ends far below 0.5 (about s/1000), so these
+	// keys, routed to both shards, are all dropped by the first comparison.
+	drops := make([]string, 0, 1024)
+	for i := 0; len(drops) < cap(drops); i++ {
+		if key := fmt.Sprintf("drop-%d", i); h.Unit(key) >= 0.5 {
+			drops = append(drops, key)
+		}
+	}
+	sent := client.MessagesSent()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := client.Observe(drops[i&(len(drops)-1)], 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := client.MessagesSent(); got != sent {
+		b.Fatalf("a dropped key was offered: %d messages sent, want %d", got, sent)
 	}
 }

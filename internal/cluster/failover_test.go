@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/distribute"
 	"repro/internal/hashing"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/stream"
 	"repro/internal/wire"
@@ -403,5 +406,51 @@ func TestRunFailoverBench(t *testing.T) {
 	}
 	if res.MergedSampleLen != cfg.SampleSize {
 		t.Fatalf("merged sample len %d, want %d", res.MergedSampleLen, cfg.SampleSize)
+	}
+}
+
+// TestRecoveryNeverDialsAfterClose: an operation on a closed client fails
+// against its closed connections, and recovery gives up with an error
+// wrapping net.ErrClosed instead of re-dialing the healthy primary (which
+// would open a connection nobody ever closes).
+func TestRecoveryNeverDialsAfterClose(t *testing.T) {
+	const s = 8
+	h := hashing.NewMurmur2(4)
+	hellos := func() uint64 {
+		snap := obs.Default().Snapshot()
+		return snap.Counter(`dds_wire_frames_decoded_total{kind="hello"}`)
+	}
+	for _, opts := range digestOpts {
+		t.Run(fmt.Sprintf("%s-batch%d-window%d", opts.Codec, opts.BatchSize, opts.Window), func(t *testing.T) {
+			srv := listenFor(t, 2, s, false)
+			client, err := DialSites(srv.Addrs(), NewShardRouter(2, h), func(int) netsim.SiteNode {
+				return core.NewInfiniteSite(0, h)
+			}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 300; i++ {
+				if err := client.Observe(fmt.Sprintf("key-%d", i), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := client.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := hellos()
+			// A batched client buffers an arrival without I/O, so not every
+			// Observe fails; every one that does must say closed.
+			for i := 0; i < 300; i++ {
+				if err := client.Observe(fmt.Sprintf("late-%d", i), 0); err != nil && !errors.Is(err, net.ErrClosed) {
+					t.Fatalf("Observe after Close: %v, want an error wrapping net.ErrClosed", err)
+				}
+			}
+			if err := client.Flush(); !errors.Is(err, net.ErrClosed) {
+				t.Fatalf("Flush after Close: %v, want an error wrapping net.ErrClosed", err)
+			}
+			if d := hellos() - before; d != 0 {
+				t.Fatalf("%d hello frames after Close: recovery re-dialed a shard", d)
+			}
+		})
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 // RangeTable is a versioned partition of the 64-bit routing-hash space into
@@ -54,11 +53,23 @@ func UniformTable(shards int) RangeTable {
 	return t
 }
 
-// Lookup returns the slot owning routing hash x.
-func (t RangeTable) Lookup(x uint64) int {
-	// The first bound is 0, so the search never returns 0.
-	i := sort.Search(len(t.Bounds), func(i int) bool { return t.Bounds[i] > x })
-	return t.Slots[i-1]
+// Lookup returns the slot owning routing hash x: the slot of the last range
+// whose lower bound is at most x. It runs on every arrival, so it is a
+// branch-free binary search — routing hashes are uniform, and a comparison
+// branch would be mispredicted half the time. [lo, lo+n) always holds the
+// answer (Bounds[0] is 0, so there is one); each round keeps the half that
+// holds it, the upper one exactly when Bounds[lo+half] <= x, selected by a
+// borrow mask instead of a branch.
+func (t *RangeTable) Lookup(x uint64) int {
+	b := t.Bounds
+	lo, n := 0, len(b)
+	for n > 1 {
+		half := n / 2
+		_, borrow := bits.Sub64(x, b[lo+half], 0) // 1 iff x < Bounds[lo+half]
+		lo += half & (int(borrow) - 1)
+		n -= half
+	}
+	return t.Slots[lo]
 }
 
 // NumRanges returns the number of ranges (= live slots).

@@ -124,6 +124,68 @@ func TestRangeTablePartitionProperty(t *testing.T) {
 	}
 }
 
+// TestRangeTableLookupEveryTableSize checks the branch-free search against
+// the brute-force owner at every table size from 1 to 64 ranges, uniform and
+// randomly split (ranges of uneven width, slots out of order), on every
+// bound, both its neighbours, and both ends of the hash space — where an
+// off-by-one comparison or a search that stops a round early shows.
+func TestRangeTableLookupEveryTableSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for n := 1; n <= 64; n++ {
+		split := UniformTable(1)
+		for split.NumRanges() < n {
+			slot := split.Slots[rng.Intn(split.NumRanges())]
+			mid, err := split.SplitPoint(slot, 0.05+0.9*rng.Float64())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if split, err = split.Split(slot, mid, split.MaxSlot()+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, table := range []RangeTable{UniformTable(n), split} {
+			points := []uint64{0, ^uint64(0)}
+			for _, b := range table.Bounds {
+				points = append(points, b-1, b, b+1)
+			}
+			for _, x := range points {
+				own := owners(table, x)
+				if len(own) != 1 {
+					t.Fatalf("%d ranges: hash %#x owned by %v", n, x, own)
+				}
+				if got := table.Lookup(x); got != own[0] {
+					t.Fatalf("%d ranges %v: Lookup(%#x) = slot %d, owner is slot %d", n, table.Bounds, x, got, own[0])
+				}
+			}
+		}
+	}
+}
+
+// lookupSink keeps BenchmarkRangeTableLookup's results alive.
+var lookupSink int
+
+// BenchmarkRangeTableLookup times routing one uniform hash, the per-arrival
+// cost of Lookup, at the smallest cluster and at a resharded one.
+func BenchmarkRangeTableLookup(b *testing.B) {
+	for _, n := range []int{2, 32} {
+		b.Run(fmt.Sprintf("ranges=%d", n), func(b *testing.B) {
+			table := UniformTable(n)
+			rng := rand.New(rand.NewSource(1))
+			xs := make([]uint64, 4096)
+			for i := range xs {
+				xs[i] = rng.Uint64()
+			}
+			sum := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sum += table.Lookup(xs[i&(len(xs)-1)])
+			}
+			lookupSink = sum
+		})
+	}
+}
+
 func TestRangeTableRejectsBadPlans(t *testing.T) {
 	table := UniformTable(2)
 	lo, hi, ok := table.RangeOf(1)

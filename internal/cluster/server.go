@@ -161,7 +161,8 @@ type SiteClient struct {
 	// pendingRoute is the cross-goroutine mailbox of the reshard driver;
 	// routeVer publishes the applied table version and closed the client's
 	// retirement, so the driver can tell "will apply at its next operation"
-	// from "will never apply again".
+	// from "will never apply again". Once closed is set, recovery and route
+	// application dial nothing.
 	pendingRoute atomic.Pointer[RouteUpdate]
 	routeVer     atomic.Uint64
 	closed       atomic.Bool
@@ -343,17 +344,32 @@ func currentPrimary(members []string, codec wire.Codec) int {
 	return 0
 }
 
-// do runs op against the shard's current primary, failing over and retrying
-// as long as recovery makes progress. Each successful failover advances the
-// shard's primary index, a healthy-primary reconnect (a connection-level
-// reset, not a dead server) is attempted at most once per operation, and
-// lease waits and reroutes are budgeted by the retry policy, so the loop
-// terminates.
-func (c *SiteClient) do(shard int, op func(*wire.SiteClient) error) error {
-	return c.doRetry(shard, op, c.retryMax())
+// doRetry is one attempt of op against the shard's current primary and, if
+// it fails, the recovery loop (recoverOp) with the given stale-route budget.
+func (c *SiteClient) doRetry(shard int, op func(*wire.SiteClient) error, staleBudget int) error {
+	sc := c.shards[shard]
+	if sc == nil || sc.client == nil {
+		return noConnection(shard)
+	}
+	if err := op(sc.client); err != nil {
+		return c.recoverOp(shard, op, err, staleBudget)
+	}
+	return nil
 }
 
-// doRetry is do with an explicit stale-route budget. Three recovery paths:
+// noConnection is the error of an operation on a slot the client holds no
+// connection for.
+func noConnection(shard int) error {
+	return fmt.Errorf("cluster: no connection for shard slot %d", shard)
+}
+
+// recoverOp is the recovery loop behind a failed attempt of op on the shard:
+// it starts from that attempt's error err, recovers, and retries op as long
+// as recovery makes progress. Each successful failover advances the shard's
+// primary index, a healthy-primary reconnect (a connection-level reset, not
+// a dead server) is attempted at most once per operation, and lease waits
+// and reroutes are budgeted by the retry policy, so the loop terminates.
+// Three recovery paths:
 //
 //   - wire.ErrStaleRoute: the shard gave the key's range away in a reshard
 //     this client has not applied yet. Spend one budget unit healing —
@@ -366,18 +382,17 @@ func (c *SiteClient) do(shard int, op func(*wire.SiteClient) error) error {
 //     then force-promote (leaseWait).
 //   - anything else: the classic liveness path — probe, promote the next
 //     member, or re-dial a healthy primary once.
-func (c *SiteClient) doRetry(shard int, op func(*wire.SiteClient) error, staleBudget int) error {
-	sc := c.shards[shard]
-	if sc == nil || sc.client == nil {
-		return fmt.Errorf("cluster: no connection for shard slot %d", shard)
+//
+// A closed client recovers nothing, so it dials nothing either: the error
+// surfaces, wrapping net.ErrClosed.
+func (c *SiteClient) recoverOp(shard int, op func(*wire.SiteClient) error, err error, staleBudget int) error {
+	if c.closed.Load() {
+		return fmt.Errorf("cluster: shard %d: %w (client closed: %w)", shard, err, net.ErrClosed)
 	}
+	sc := c.shards[shard]
 	reconnected := false
 	leaseWaits := 0
 	for {
-		err := op(sc.client)
-		if err == nil {
-			return nil
-		}
 		switch {
 		case errors.Is(err, wire.ErrStaleRoute):
 			if staleBudget <= 0 {
@@ -394,28 +409,26 @@ func (c *SiteClient) doRetry(shard int, op func(*wire.SiteClient) error, staleBu
 				// everything op was shipping, so it is satisfied.
 				return nil
 			}
-			continue
 		case errors.Is(err, wire.ErrLeaseLapsed):
 			if werr := c.leaseWait(shard, &leaseWaits); werr != nil {
 				return fmt.Errorf("cluster: shard %d: %w (lease: %v)", shard, err, werr)
 			}
-			continue
-		}
-		ferr := c.failover(shard)
-		if ferr == nil {
-			continue // promoted to a new primary; retry there
-		}
-		if errors.Is(ferr, errPrimaryHealthy) && !reconnected {
-			// The server is alive but our connection is not (idle timeout,
-			// reset): re-dial the same primary, replay the unacked window,
-			// and retry. A second failure against a healthy primary is a
-			// protocol error and surfaces.
-			if rerr := c.reconnect(shard); rerr == nil {
+		default:
+			ferr := c.failover(shard)
+			if ferr != nil {
+				// errPrimaryHealthy: the server is alive but our connection
+				// is not (idle timeout, reset), so re-dial the same primary,
+				// replay the unacked window, and retry. A second failure
+				// against a healthy primary is a protocol error and surfaces.
+				if !errors.Is(ferr, errPrimaryHealthy) || reconnected || c.reconnect(shard) != nil {
+					return fmt.Errorf("cluster: shard %d: %w (failover: %v)", shard, err, ferr)
+				}
 				reconnected = true
-				continue
 			}
 		}
-		return fmt.Errorf("cluster: shard %d: %w (failover: %v)", shard, err, ferr)
+		if err = op(sc.client); err == nil {
+			return nil
+		}
 	}
 }
 
@@ -561,7 +574,8 @@ func (c *SiteClient) failover(shard int) error {
 	sc := c.shards[shard]
 	start := time.Now()
 	// Liveness check first: a protocol error from a healthy coordinator must
-	// surface (or trigger a plain reconnect, see do), not a promotion storm.
+	// surface (or trigger a plain reconnect, see recoverOp), not a promotion
+	// storm.
 	if _, err := wire.ProbeEpoch(sc.members[sc.primary], c.opts.Codec); err == nil {
 		return errPrimaryHealthy
 	}
@@ -713,7 +727,7 @@ func (c *SiteClient) ApplyRouteUpdates() error { return c.maybeApplyRoute() }
 // pending and the next operation retries.
 func (c *SiteClient) maybeApplyRoute() error {
 	u := c.pendingRoute.Load()
-	if u == nil {
+	if u == nil || c.closed.Load() {
 		return nil
 	}
 	if u.Table.Version <= c.table.Version {
@@ -727,6 +741,10 @@ func (c *SiteClient) maybeApplyRoute() error {
 		return fmt.Errorf("cluster: reshard drain: %w", err)
 	}
 	obsRouteDrainNs.Observe(time.Since(start).Nanoseconds())
+	if c.table.Version >= u.Table.Version {
+		// A stale-route heal inside the drain already applied this update.
+		return nil
+	}
 	// Phase 2: dial new slots before swapping, so a dial failure leaves the
 	// client fully consistent under the old table.
 	dialStart := time.Now()
@@ -863,31 +881,57 @@ func (c *SiteClient) repartitionSiteState() error {
 
 // Observe routes one element observation to its owning shard. The key is
 // hashed once: its digest picks the shard, as in RouteHash, and is handed on
-// to a site node that filters with the same hash function.
+// to a site node that filters with the same hash function. The first attempt
+// calls the shard's connection directly; only a failed attempt builds the
+// closure the recovery loop retries.
 func (c *SiteClient) Observe(key string, slot int64) error {
-	if err := c.maybeApplyRoute(); err != nil {
-		return err
+	if c.pendingRoute.Load() != nil {
+		if err := c.maybeApplyRoute(); err != nil {
+			return err
+		}
 	}
 	d := c.hasher.Hash(key)
 	shard := c.table.Lookup(hashing.Mix64(d))
-	if c.shards[shard].digest {
-		return c.do(shard, func(client *wire.SiteClient) error { return client.ObserveDigest(key, d, slot) })
+	sc := c.shards[shard]
+	if sc.client == nil {
+		return noConnection(shard)
 	}
-	return c.do(shard, func(client *wire.SiteClient) error { return client.Observe(key, slot) })
+	err := observeOn(sc.client, sc.digest, key, d, slot)
+	if err == nil {
+		return nil
+	}
+	digest := sc.digest
+	return c.recoverOp(shard, func(client *wire.SiteClient) error {
+		return observeOn(client, digest, key, d, slot)
+	}, err, c.retryMax())
 }
 
-// fanOut runs op on every shard connection concurrently (with per-shard
-// failover) and returns the first error, tagged with its shard. Each
-// shardConn is touched by exactly one goroutine, so this respects the
-// per-client single-caller contract; the win is that per-shard flushes and
-// window drains overlap instead of paying one coordinator round trip per
-// shard in sequence.
+// observeOn feeds one arrival with digest d to a shard connection, through
+// the node's digest entry point when it takes the router's digest.
+func observeOn(client *wire.SiteClient, digest bool, key string, d uint64, slot int64) error {
+	if digest {
+		return client.ObserveDigest(key, d, slot)
+	}
+	return client.Observe(key, slot)
+}
+
+// fanOut runs op on every shard connection concurrently and returns the
+// first error, tagged with its shard. Each shardConn is touched by exactly
+// one goroutine, so this respects the per-client single-caller contract; the
+// win is that per-shard flushes and window drains overlap instead of paying
+// one coordinator round trip per shard in sequence. A fan-out goroutine
+// recovers only its own shard (failover, reconnect, lease wait) and hands a
+// stale-route NACK back unhealed, with a budget of 0: healing replays offers
+// into sibling shards' connections and may flip the routing table, so the
+// caller heals those shards after the join, one at a time, starting each
+// recovery from the NACK rather than from another attempt on the fenced
+// connection.
 func (c *SiteClient) fanOut(op func(*wire.SiteClient) error) error {
 	if len(c.shards) == 1 {
 		if c.shards[0] == nil || c.shards[0].client == nil {
 			return nil
 		}
-		return c.do(0, op)
+		return c.doRetry(0, op, c.retryMax())
 	}
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
@@ -898,16 +942,25 @@ func (c *SiteClient) fanOut(op func(*wire.SiteClient) error) error {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			errs[shard] = c.do(shard, op)
+			errs[shard] = c.doRetry(shard, op, 0)
 		}(shard)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	var first error
+	for shard, err := range errs {
+		if errors.Is(err, wire.ErrStaleRoute) {
+			err = nil
+			// An earlier heal's table flip may have retired this slot; the
+			// flip's drain settled its offers first, so op is satisfied.
+			if c.shards[shard].client != nil {
+				err = c.recoverOp(shard, op, wire.ErrStaleRoute, c.retryMax())
+			}
+		}
+		if err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
 // EndSlot signals the end of a time slot on every shard concurrently (the

@@ -194,3 +194,143 @@ func TestStaleSiteStrayKeysAcrossReshards(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFanOutHealOnCallerGoroutine: a two-shard pipelined client that missed a
+// reshard moving part of slot 0's range to slot 1 flushes offers for the
+// moved keys. Its drain fan-out hits slot 0's stale-route fence, and the heal
+// replays the refused offers into slot 1's connection — which a sibling
+// fan-out goroutine is flushing at the same time, so the heal must wait for
+// the join and run on the caller's goroutine (run under -race). The merged
+// sample stays byte-identical to the reference.
+func TestFanOutHealOnCallerGoroutine(t *testing.T) {
+	const (
+		s    = 8
+		seed = 29
+	)
+	before := obs.Default().Snapshot()
+	hasher := hashing.NewMurmur2(seed)
+	router := NewShardRouter(2, hasher)
+	srv := listenFor(t, 2, s, false)
+
+	// The missed reshard: slot 0 keeps [0, mid) and slot 1 takes [mid, 2^64).
+	old := router.Table()
+	mid := old.Bounds[1] / 2
+	next := RangeTable{Version: old.Version + 1, Bounds: []uint64{0, mid}, Slots: []int{0, 1}}
+	fenceServers(t, srv, router, next)
+
+	// One batch per shard, shipped only by the drain.
+	client, err := DialSites(srv.Addrs(), router, func(int) netsim.SiteNode {
+		return core.NewInfiniteSite(0, hasher)
+	}, wire.Options{Codec: wire.CodecBinary, BatchSize: 1 << 12, Window: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	oracle := core.NewReference(s, hasher)
+	moved := make(map[string]bool)
+	for i := 0; i < 600; i++ {
+		key := fmt.Sprintf("heal-%d", i)
+		if rh := router.RouteHash(key); rh >= mid && rh < old.Bounds[1] {
+			moved[key] = true
+		}
+		oracle.Observe(key)
+		if err := client.Observe(key, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	strays := 0
+	for _, key := range oracle.SampleKeys() {
+		if moved[key] {
+			strays++
+		}
+	}
+	if strays == 0 {
+		t.Fatal("no moved key is in the reference sample; pick another seed")
+	}
+
+	client.OfferRouteUpdate(&RouteUpdate{Table: next, Groups: [][]string{{srv.addrs[0]}, {srv.addrs[1]}}})
+	if err := client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if v := client.RouteVersion(); v != next.Version {
+		t.Fatalf("route version %d after the flush, want %d", v, next.Version)
+	}
+	if n, _ := client.ReshardStalls(); n != 1 {
+		t.Fatalf("the route update was applied %d times, want once", n)
+	}
+	after := obs.Default().Snapshot()
+	if d := after.Counter(`dds_retry_attempts_total{op="reroute"}`) - before.Counter(`dds_retry_attempts_total{op="reroute"}`); d == 0 {
+		t.Fatal("the drain never hit the stale-route fence")
+	}
+	if got := srv.MergedSample(s); !oracle.SameSample(got) {
+		t.Fatalf("merged sample (%d moved keys in the reference's) differs from the reference:\n got: %v\nwant: %v", strays, got, oracle.Sample())
+	}
+}
+
+// fenceServers applies table next to the coordinators of srv, as a reshard
+// the client under test missed: each coordinator owns its range of next (a
+// slot next retires owns the empty range) and fences offers outside it.
+func fenceServers(t *testing.T, srv *Server, router *ShardRouter, next RangeTable) {
+	t.Helper()
+	for slot, cs := range srv.servers {
+		cs.SetRouteHash(router.RouteHash)
+		lo, hi, ok := next.RangeOf(slot)
+		if !ok {
+			lo, hi = 1, 1
+		}
+		if _, err := wire.RouteUpdateAddr(srv.addrs[slot], next.Version, lo, hi, wire.CodecBinary); err != nil {
+			t.Fatal(err)
+		}
+		cs.RestrictRoute()
+	}
+}
+
+// TestFanOutHealSkipsRetiredSlot: two shards of one drain fan-out are
+// fenced, and healing the first flips to a table that retires the second,
+// after settling its offers. The second then needs no heal of its own, and
+// the client must not re-dial the retired slot.
+func TestFanOutHealSkipsRetiredSlot(t *testing.T) {
+	const (
+		s    = 8
+		seed = 29
+	)
+	hasher := hashing.NewMurmur2(seed)
+	router := NewShardRouter(3, hasher)
+	srv := listenFor(t, 3, s, false)
+
+	// The missed reshard: slot 0 gives the top half of its range to slot 2,
+	// which also absorbs slot 1's whole range, retiring slot 1. Both slot 0
+	// and slot 1 fence, and slot 0 heals first.
+	old := router.Table()
+	next := RangeTable{Version: old.Version + 1, Bounds: []uint64{0, old.Bounds[1] / 2}, Slots: []int{0, 2}}
+	fenceServers(t, srv, router, next)
+
+	client, err := DialSites(srv.Addrs(), router, func(int) netsim.SiteNode {
+		return core.NewInfiniteSite(0, hasher)
+	}, wire.Options{Codec: wire.CodecBinary, BatchSize: 1 << 12, Window: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	oracle := core.NewReference(s, hasher)
+	for i := 0; i < 600; i++ {
+		key := fmt.Sprintf("retire-%d", i)
+		oracle.Observe(key)
+		if err := client.Observe(key, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client.OfferRouteUpdate(&RouteUpdate{Table: next, Groups: [][]string{{srv.addrs[0]}, nil, {srv.addrs[2]}}})
+	if err := client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if v := client.RouteVersion(); v != next.Version {
+		t.Fatalf("route version %d after the flush, want %d", v, next.Version)
+	}
+	if client.shards[1].client != nil {
+		t.Fatal("the client re-dialed slot 1 after the table retired it")
+	}
+	if got := srv.MergedSample(s); !oracle.SameSample(got) {
+		t.Fatalf("merged sample differs from the reference:\n got: %v\nwant: %v", got, oracle.Sample())
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -11,23 +12,30 @@ import (
 
 // pipeline is the state of a pipelined site connection (Options.Window > 1).
 //
-// The caller's goroutine is the writer: Observe/EndSlot buffer offers into
-// SiteClient.pending and ship() encodes them as sequence-numbered batch
-// frames, at most Window in flight at once. A dedicated reader goroutine
-// receives the coordinator's replies frames, matches them to batches by
-// sequence number (the server echoes each batch's Seq and TCP preserves
-// order, so replies must arrive in send order), feeds the replies into the
-// site node, and returns the batch's credit to the writer.
+// The caller's goroutine is the writer, and the only goroutine that touches
+// the site node, the scratch outbox and SiteClient.pending: Observe/EndSlot
+// run the node, buffer its offers into pending, and ship() encodes them as
+// sequence-numbered batch frames, at most Window in flight at once. A
+// dedicated reader goroutine receives the coordinator's replies frames,
+// matches them to batches by sequence number (the server echoes each batch's
+// Seq and TCP preserves order, so replies must arrive in send order), queues
+// the replies for the writer, and returns the batch's credit. The writer
+// applies the queue to the site node at its next call (applyReplies), so a
+// dropped arrival — the common case — costs one atomic load of ready and no
+// lock.
 //
 // The credit window is the backpressure and memory bound: when the
 // coordinator falls behind, the writer blocks in ship() after Window
-// unacknowledged batches instead of buffering without limit.
+// unacknowledged batches instead of buffering without limit. It also bounds
+// the reply queue: at most Window replies frames arrive between two writer
+// calls.
 //
-// Everything below is guarded by SiteClient.mu except the actual WriteFrame
-// and ReadFrame calls, which run unlocked so that a blocked TCP write can
-// never prevent the reader from draining replies (the classic pipelined
-// deadlock). The codec keeps separate read and write scratch buffers for the
-// same reason.
+// SiteClient.mu guards only what the reader shares with the writer: the
+// fields below except ready and wireDirty, and the client's message
+// counters. The actual WriteFrame and ReadFrame calls run unlocked so that a
+// blocked TCP write can never prevent the reader from draining replies (the
+// classic pipelined deadlock). The codec keeps separate read and write
+// scratch buffers for the same reason.
 type pipeline struct {
 	cond    *sync.Cond // signals credit returns and failures; cond.L == &SiteClient.mu
 	sendSeq uint64     // sequence number of the next batch to ship
@@ -59,12 +67,30 @@ type pipeline struct {
 	// costs the unsampled pipeline no allocations.
 	traces []obs.TraceContext
 
+	// replies queues the coordinator's replies, each with the slot of the
+	// batch it answers, from the reader to the writer. ready is raised with
+	// the first queued reply and by a failure, and lowered by the writer when
+	// it takes a queue from a healthy pipeline, so the writer finds both
+	// without taking mu. spare holds the storage of the queue the writer took
+	// last, swapped back in at its next take, so the two slices circulate
+	// without allocating.
+	replies []queuedReply
+	spare   []queuedReply
+	ready   atomic.Bool
+
 	// wireDirty marks batch frames written but not yet flushed to the
 	// socket. Owned by the writer goroutine. Keeping frames buffered while
 	// credits remain lets a whole window ride one syscall; the writer MUST
 	// flush before blocking on credits or draining, or the coordinator
 	// never sees the batches it is expected to ack.
 	wireDirty bool
+}
+
+// queuedReply is one coordinator reply awaiting the writer, with the slot of
+// the batch it answers.
+type queuedReply struct {
+	msg  netsim.Message
+	slot int64
 }
 
 // inflight returns the number of unacknowledged batches. Callers hold mu.
@@ -76,59 +102,97 @@ func (c *SiteClient) startPipeline() {
 	go c.readLoop()
 }
 
-// failPipe records the pipeline's first error and wakes every waiter.
-// Callers must hold mu.
+// failPipe records the pipeline's first error, raises ready so the writer's
+// next call finds it, and wakes every waiter. Callers must hold mu.
 func (c *SiteClient) failPipe(err error) {
 	if c.pipe.err == nil {
 		c.pipe.err = err
 	}
+	c.pipe.ready.Store(true)
 	c.pipe.cond.Broadcast()
 }
 
-// pipeObserve is Observe in pipelined mode: run the site callback, buffer
-// its messages, and ship any full batches without waiting for replies.
-func (c *SiteClient) pipeObserve(key string, d uint64, digested bool, slot int64) error {
-	batchSize := c.opts.BatchSize
-	if batchSize < 1 {
-		batchSize = 1
-	}
+// fail is failPipe for a caller that does not hold mu; it returns err.
+func (c *SiteClient) fail(err error) error {
 	c.mu.Lock()
-	if err := c.pipe.err; err != nil {
-		c.mu.Unlock()
-		return err
+	c.failPipe(err)
+	c.mu.Unlock()
+	return err
+}
+
+// batchSize is the operative batch size: Options.BatchSize, at least 1.
+func (c *SiteClient) batchSize() int {
+	if c.opts.BatchSize < 1 {
+		return 1
+	}
+	return c.opts.BatchSize
+}
+
+// applyReplies takes the reply queue and feeds it into the site node on the
+// writer's goroutine, buffering any offers the node emits in response, and
+// then returns the pipeline's sticky error, if any: replies that arrived
+// before a failure still reach the node.
+func (c *SiteClient) applyReplies() error {
+	p := c.pipe
+	c.mu.Lock()
+	queue := p.replies
+	p.replies, p.spare = p.spare[:0], queue[:0]
+	err := p.err
+	if err == nil {
+		p.ready.Store(false)
+	}
+	c.mu.Unlock()
+	for _, r := range queue {
+		c.scratch.Reset()
+		c.node.OnMessage(r.msg, r.slot, &c.scratch)
+		if berr := c.buffer(r.slot); berr != nil {
+			return c.fail(berr)
+		}
+	}
+	return err
+}
+
+// pipeObserve is Observe in pipelined mode: apply any queued replies, run the
+// site callback, buffer its messages, and ship a full batch without waiting
+// for replies. It takes mu only when replies are queued, when the pipeline
+// has failed, or when a batch ships.
+func (c *SiteClient) pipeObserve(key string, d uint64, digested bool, slot int64) error {
+	if c.pipe.ready.Load() {
+		if err := c.applyReplies(); err != nil {
+			return err
+		}
 	}
 	c.scratch.Reset()
 	c.arrive(key, d, digested, slot)
-	err := c.bufferLocked(slot)
-	full := len(c.pending) >= batchSize
-	c.mu.Unlock()
-	if err != nil || !full {
-		return err
+	if len(c.scratch.Envelopes()) > 0 {
+		if err := c.buffer(slot); err != nil {
+			return err
+		}
+	}
+	if len(c.pending) < c.batchSize() {
+		return nil
 	}
 	return c.ship(false)
 }
 
-// pipeEndSlot is EndSlot in pipelined mode: run the slot-end callback, then
-// drain the window so nothing crosses the slot boundary unacknowledged.
+// pipeEndSlot is EndSlot in pipelined mode: apply any queued replies, run the
+// slot-end callback, then drain the window so nothing crosses the slot
+// boundary unacknowledged.
 func (c *SiteClient) pipeEndSlot(slot int64) error {
-	c.mu.Lock()
-	if err := c.pipe.err; err != nil {
-		c.mu.Unlock()
+	if err := c.applyReplies(); err != nil {
 		return err
 	}
 	c.scratch.Reset()
 	c.node.OnSlotEnd(slot, &c.scratch)
-	err := c.bufferLocked(slot)
-	c.mu.Unlock()
-	if err != nil {
+	if err := c.buffer(slot); err != nil {
 		return err
 	}
 	return c.pipeFlush()
 }
 
-// bufferLocked appends the scratch outbox's messages to the pending buffer.
-// Callers hold mu.
-func (c *SiteClient) bufferLocked(slot int64) error {
+// buffer appends the scratch outbox's messages to the pending buffer and
+// resets the outbox. It runs on the caller's goroutine, which owns both.
+func (c *SiteClient) buffer(slot int64) error {
 	for _, env := range c.scratch.Envelopes() {
 		if env.Broadcast || env.To != netsim.CoordinatorID {
 			return errors.New("wire: site nodes may only message the coordinator")
@@ -149,21 +213,14 @@ func (c *SiteClient) bufferLocked(slot int64) error {
 // frames ride one syscall, and the coordinator always sees every shipped
 // frame before the writer goes to sleep (no flush, no progress, deadlock).
 func (c *SiteClient) ship(all bool) error {
-	batchSize := c.opts.BatchSize
-	if batchSize < 1 {
-		batchSize = 1
-	}
+	batchSize := c.batchSize()
 	flush := func() error {
 		if !c.pipe.wireDirty {
 			return nil
 		}
 		c.pipe.wireDirty = false
 		if err := c.fc.Flush(); err != nil {
-			err = fmt.Errorf("wire: flush batches: %w", err)
-			c.mu.Lock()
-			c.failPipe(err)
-			c.mu.Unlock()
-			return err
+			return c.fail(fmt.Errorf("wire: flush batches: %w", err))
 		}
 		return nil
 	}
@@ -210,10 +267,9 @@ func (c *SiteClient) ship(all bool) error {
 			n = batchSize
 		}
 		// Copy the chunk out (into a recycled buffer when one is free) and
-		// compact pending so the reader can keep appending reply-generated
-		// offers while the frame is on the wire. The copy is retained in
-		// inflight until its ack arrives — it is both the frame's payload
-		// and the failover replay record.
+		// compact pending, so its storage is reused by the next fill. The
+		// copy is retained in unacked until its ack arrives — it is both the
+		// frame's payload and the failover replay record.
 		var buf []BatchEntry
 		if k := len(c.pipe.free); k > 0 {
 			buf = c.pipe.free[k-1]
@@ -253,11 +309,7 @@ func (c *SiteClient) ship(all bool) error {
 		c.wframe = Frame{Type: FrameBatch, Seq: seq, Batch: batch}
 		c.wframe.SetTrace(tc)
 		if err := c.fc.WriteFrame(&c.wframe); err != nil {
-			err = fmt.Errorf("wire: send batch: %w", err)
-			c.mu.Lock()
-			c.failPipe(err)
-			c.mu.Unlock()
-			return err
+			return c.fail(fmt.Errorf("wire: send batch: %w", err))
 		}
 		if tc.Sampled() {
 			obs.StageSpan(tc, obs.StageSiteWrite, writeStart, nowNanos())
@@ -267,9 +319,10 @@ func (c *SiteClient) ship(all bool) error {
 }
 
 // pipeFlush ships everything buffered and waits until the window is fully
-// drained, looping while acknowledged replies generate new offers. On
-// return either every offer the site ever emitted has been acknowledged by
-// the coordinator, or an error is reported.
+// drained, then applies the queued replies, looping while they generate new
+// offers. On return either every offer the site ever emitted has been
+// acknowledged by the coordinator and its replies applied, or an error is
+// reported.
 func (c *SiteClient) pipeFlush() error {
 	for {
 		if err := c.ship(true); err != nil {
@@ -279,23 +332,20 @@ func (c *SiteClient) pipeFlush() error {
 		for c.pipe.inflight() > 0 && c.pipe.err == nil {
 			c.pipe.cond.Wait()
 		}
-		err := c.pipe.err
-		idle := len(c.pending) == 0
 		c.mu.Unlock()
-		if err != nil {
+		if err := c.applyReplies(); err != nil {
 			return err
 		}
-		if idle {
+		if len(c.pending) == 0 {
 			return nil
 		}
 	}
 }
 
 // readLoop is the dedicated reply reader of a pipelined connection. It
-// verifies reply sequencing, feeds replies into the site node (buffering any
-// messages the node emits in response for the next batch), and returns
-// credits to the writer. It exits on the first error or when the connection
-// closes.
+// verifies reply sequencing, queues replies for the writer (it never calls
+// the site node), and returns credits. It exits on the first error or when
+// the connection closes.
 func (c *SiteClient) readLoop() {
 	defer close(c.pipe.done)
 	var f Frame
@@ -344,22 +394,15 @@ func (c *SiteClient) readLoop() {
 			rest = copy(c.pipe.unacked, c.pipe.unacked[acked:])
 			c.pipe.unacked = c.pipe.unacked[:rest]
 			c.received += len(f.Msgs)
-			ok := true
 			for _, reply := range f.Msgs {
-				c.scratch.Reset()
-				c.node.OnMessage(reply, slot, &c.scratch)
-				if err := c.bufferLocked(slot); err != nil {
-					c.failPipe(err)
-					ok = false
-					break
-				}
+				c.pipe.replies = append(c.pipe.replies, queuedReply{msg: reply, slot: slot})
+			}
+			if len(f.Msgs) > 0 {
+				c.pipe.ready.Store(true)
 			}
 			c.pipe.ackSeq = f.Seq + 1
 			c.pipe.cond.Broadcast()
 			c.mu.Unlock()
-			if !ok {
-				return
-			}
 		case FrameRoutePush:
 			// Server-initiated table broadcast: hand it to the callback
 			// outside the lock (it may park the table in a mailbox) and keep

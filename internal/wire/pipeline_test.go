@@ -3,8 +3,11 @@ package wire
 import (
 	"fmt"
 	"net"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -336,5 +339,111 @@ func TestPipelinedMidStreamDisconnect(t *testing.T) {
 	}
 	if err := client.Close(); err == nil {
 		t.Fatal("expected Close to report the pipeline failure")
+	}
+}
+
+// ownedSite wraps a site node and counts the replies that reach it on a
+// goroutine other than its owner's.
+type ownedSite struct {
+	netsim.SiteNode
+	owner   uint64
+	replies atomic.Int64
+	foreign atomic.Int64
+}
+
+func (o *ownedSite) OnMessage(msg netsim.Message, slot int64, out *netsim.Outbox) {
+	o.replies.Add(1)
+	if goroutineID() != o.owner {
+		o.foreign.Add(1)
+	}
+	o.SiteNode.OnMessage(msg, slot, out)
+}
+
+// goroutineID returns the calling goroutine's id, parsed from the
+// "goroutine N [...]" header of its stack trace.
+func goroutineID() uint64 {
+	var buf [64]byte
+	header := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	id, err := strconv.ParseUint(header[1], 10, 64)
+	if err != nil {
+		panic("unparseable goroutine header: " + strings.Join(header, " "))
+	}
+	return id
+}
+
+// TestPipelineReaderNeverCallsNode pins the ownership contract of pipelined
+// mode: the reader goroutine queues replies and the caller's goroutine feeds
+// them into the site node, so the node never runs on two goroutines.
+func TestPipelineReaderNeverCallsNode(t *testing.T) {
+	hasher := hashing.NewMurmur2(31)
+	srv, addr := startServer(t, core.NewInfiniteCoordinator(4))
+	node := &ownedSite{SiteNode: core.NewInfiniteSite(0, hasher), owner: goroutineID()}
+	client, err := DialSiteOptions(node, addr, Options{Codec: CodecBinary, BatchSize: 1, Window: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := core.NewReference(4, hasher)
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("owned-%d", i)
+		oracle.Observe(key)
+		if err := client.Observe(key, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := client.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replies := node.replies.Load()
+	if replies == 0 {
+		t.Fatal("no reply reached the site node")
+	}
+	if foreign := node.foreign.Load(); foreign != 0 {
+		t.Fatalf("%d of %d replies reached the node on another goroutine", foreign, replies)
+	}
+	if !oracle.SameSample(srv.Sample()) {
+		t.Fatal("sample differs from the reference")
+	}
+}
+
+// TestUnackedAppliesQueuedReplies: replies the reader queued after the
+// caller's last call reach the node in Unacked, so failover hands a fresh
+// connection a node whose threshold is as current as the coordinator's.
+func TestUnackedAppliesQueuedReplies(t *testing.T) {
+	hasher := hashing.NewMurmur2(5)
+	coord := core.NewInfiniteCoordinator(2)
+	srv, addr := startServer(t, coord)
+	site := core.NewInfiniteSite(0, hasher)
+	client, err := DialSiteOptions(site, addr, Options{Codec: CodecBinary, BatchSize: 1, Window: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := client.Observe(fmt.Sprintf("unacked-%d", i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Put the batches still in the write buffer on the wire, without the
+	// drain's wait (which would apply the replies). Every offer answers with
+	// one threshold reply; wait until all of them have been received:
+	// queued, not yet applied.
+	if err := client.ship(true); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for client.MessagesReceived() != client.MessagesSent() {
+		if time.Now().After(deadline) {
+			t.Fatalf("received %d replies for %d offers", client.MessagesReceived(), client.MessagesSent())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := client.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	client.Unacked()
+	srv.mu.Lock()
+	want := coord.Threshold()
+	srv.mu.Unlock()
+	if got := site.Threshold(); got != want {
+		t.Fatalf("site threshold after Unacked = %v, coordinator's = %v", got, want)
 	}
 }

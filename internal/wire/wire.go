@@ -1119,12 +1119,12 @@ type Options struct {
 	// Window > 1 enables pipelined ingest: up to Window batch frames may be
 	// in flight before their replies frames have come back, with a dedicated
 	// reader goroutine matching replies to batches by sequence number and
-	// feeding them into the site node as they arrive. The window is a credit
-	// scheme — a full window blocks the writer, bounding memory — and
-	// Flush/EndSlot/Close drain it completely, so slot boundaries and
-	// shutdown stay exact. 0 or 1 keeps the synchronous request/response
-	// dialogue. DefaultWindow is a good starting point on localhost; see the
-	// README for tuning guidance.
+	// queuing them for the caller's goroutine, which feeds them into the site
+	// node at its next call. The window is a credit scheme — a full window
+	// blocks the writer, bounding memory — and Flush/EndSlot/Close drain it
+	// completely, so slot boundaries and shutdown stay exact. 0 or 1 keeps
+	// the synchronous request/response dialogue. DefaultWindow is a good
+	// starting point on localhost; see the README for tuning guidance.
 	Window int
 	// OnRoutePush, when set, receives server-initiated route-push frames: the
 	// coordinator broadcasting a new routing table mid-reshard so connected
@@ -1164,8 +1164,9 @@ const DefaultWindow = 8
 // A SiteClient is not safe for concurrent use: Observe/EndSlot/Flush/Close
 // must be called from one goroutine (or externally serialized), exactly like
 // the site node it wraps. In pipelined mode the client owns one additional
-// internal reader goroutine; mu serializes that reader's access to the site
-// node and shared buffers against the caller.
+// internal reader goroutine, which never touches the site node: it queues
+// the coordinator's replies, and the caller's goroutine applies them at its
+// next call. mu guards only the state the reader shares with the caller.
 type SiteClient struct {
 	node netsim.SiteNode
 	conn io.Closer
@@ -1174,12 +1175,12 @@ type SiteClient struct {
 
 	dnode netsim.DigestSite // node's digest entry point; nil when it has none
 
-	mu      sync.Mutex   // guards node, pending, counters when pipelining
-	pending []BatchEntry // buffered offers awaiting a batch flush
+	mu      sync.Mutex   // guards the pipeline state the reader shares, and the counters
+	pending []BatchEntry // buffered offers awaiting a batch flush; the caller's alone
 	// batchStartNs is when the current pending buffer got its first offer,
 	// stamped only while tracing is enabled (zero otherwise): the site_batch
 	// span of a sampled batch covers assembly, from first buffered offer to
-	// ship. Reset on every ship. Guarded by mu in pipelined mode.
+	// ship. Reset on every ship.
 	batchStartNs int64
 
 	scratch netsim.Outbox // reusable outbox for node callbacks
@@ -1281,14 +1282,19 @@ func (c *SiteClient) Node() netsim.SiteNode { return c.node }
 // sketch, so re-delivering an offer the dead primary did apply (and whose
 // effect survived via a state push) changes nothing, while dropping an
 // unapplied one could lose sample entries.
+//
+// In pipelined mode it first applies the replies still queued for the site
+// node, so the node handed on to a new connection has seen every reply this
+// one received.
 func (c *SiteClient) Unacked() []BatchEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out []BatchEntry
 	if c.pipe != nil {
+		_ = c.applyReplies() // the sticky error is the caller's reason to be here
+		c.mu.Lock()
 		for _, b := range c.pipe.unacked {
 			out = append(out, b...)
 		}
+		c.mu.Unlock()
 	}
 	return append(out, c.pending...)
 }
@@ -1300,9 +1306,7 @@ func (c *SiteClient) Replay(entries []BatchEntry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	c.mu.Lock()
 	c.pending = append(c.pending, entries...)
-	c.mu.Unlock()
 	return c.Flush()
 }
 
@@ -1335,7 +1339,7 @@ func (c *SiteClient) observe(key string, d uint64, digested bool, slot int64) er
 
 // arrive hands one arrival to the node, through its digest entry point when
 // the caller has the digest, and queues the node's messages on the scratch
-// outbox. In pipelined mode the caller holds mu.
+// outbox.
 func (c *SiteClient) arrive(key string, d uint64, digested bool, slot int64) {
 	if digested {
 		c.dnode.OnDigest(key, d, slot, &c.scratch)
@@ -1481,14 +1485,9 @@ func (c *SiteClient) sendPending(slot int64) error {
 	for _, reply := range replies {
 		c.scratch.Reset()
 		c.node.OnMessage(reply, slot, &c.scratch)
-		for _, env := range c.scratch.Envelopes() {
-			if env.Broadcast || env.To != netsim.CoordinatorID {
-				return errors.New("wire: site nodes may only message the coordinator")
-			}
-			c.noteBatchStart()
-			c.pending = append(c.pending, BatchEntry{Slot: slot, Msg: env.Msg})
+		if err := c.buffer(slot); err != nil {
+			return err
 		}
-		c.scratch.Reset()
 	}
 	return nil
 }
