@@ -232,10 +232,10 @@ func BenchmarkInfiniteSamplerConcurrent(b *testing.B) {
 
 // BenchmarkClusterIngest measures real TCP ingest into the sharded cluster
 // subsystem across the transport matrix: the JSON-per-offer baseline versus
-// the batched binary codec, synchronous versus pipelined, at 1 shard and at
-// 4 shards. Each iteration replays the full synthetic stream through
-// concurrent site clients and cross-checks the merged sample against the
-// centralized reference. The flood cases put one offer per element on the
+// the batched binary codec, one frame versus a deeper window in flight, at 1
+// shard and at 4 shards. Each iteration replays the full synthetic stream
+// through concurrent site clients and cross-checks the merged sample against
+// the centralized reference. The flood cases put one offer per element on the
 // wire (transport-bound); the rest run the protocol's own offer filter.
 func BenchmarkClusterIngest(b *testing.B) {
 	cases := []struct {

@@ -47,8 +47,8 @@ func main() {
 		out           = flag.String("out", "BENCH_cluster.json", "output path for -cluster-bench")
 		benchElems    = flag.Int("bench-elements", 20000, "stream length for -cluster-bench")
 		benchShards   = flag.String("bench-shards", "1,4", "comma-separated shard counts for -cluster-bench")
-		benchWindows  = flag.String("bench-windows", "1,2,4,8,16,32", "comma-separated pipeline window sizes for the -cluster-bench pipeline sweep (1 = synchronous)")
-		requireSpeed  = flag.Float64("require-pipeline-speedup", 0, "fail -cluster-bench unless the best pipelined window beats the synchronous path by this factor (0 disables; CI uses 1.0)")
+		benchWindows  = flag.String("bench-windows", "1,2,4,8,16,32", "comma-separated pipeline window sizes for the -cluster-bench pipeline sweep (1 = one frame in flight, the baseline)")
+		requireSpeed  = flag.Float64("require-pipeline-speedup", 0, "fail -cluster-bench unless the best pipelined window beats the one-frame window by this factor (0 disables; CI uses 1.0)")
 		benchFailover = flag.Bool("bench-failover", true, "include the kill/promote failover benchmark in -cluster-bench (fails on reference divergence)")
 		benchReshard  = flag.Bool("bench-reshard", true, "include the online split/merge reshard benchmark in -cluster-bench (fails on reference divergence)")
 		benchAutoPlt  = flag.Bool("bench-autopilot", true, "include the autopilot resharding benchmark in -cluster-bench: a watcher-initiated split under Zipf-skewed ingest, no manual plan (fails on reference divergence)")
@@ -278,15 +278,15 @@ type tracingPoint struct {
 	RelativeToOff float64 `json:"relative_to_off"`
 }
 
-// pipelineReport compares synchronous and pipelined batched-binary ingest in
-// flood mode (one offer per element on the wire), sweeping the credit window
-// size at two batch sizes. Flood mode isolates transport throughput: the
-// paper's protocol filters almost every arrival locally, so a protocol-mode
-// run measures hashing rather than the wire. Two batch sizes because
-// pipelining changes the trade-off: the synchronous path needs large batches
-// to amortize its per-batch round trip, while the pipelined path sustains
-// throughput at small batches too (fresher thresholds, lower latency) — the
-// speedup is largest there.
+// pipelineReport compares batched-binary ingest through a one-frame window
+// with deeper credit windows in flood mode (one offer per element on the
+// wire), sweeping the window size at two batch sizes. Flood mode isolates
+// transport throughput: the paper's protocol filters almost every arrival
+// locally, so a protocol-mode run measures hashing rather than the wire. Two
+// batch sizes because pipelining changes the trade-off: a one-frame window
+// needs large batches to amortize its per-batch round trip, while a deeper
+// window sustains throughput at small batches too (fresher thresholds, lower
+// latency) — the speedup is largest there.
 type pipelineReport struct {
 	Shards int             `json:"shards"`
 	Sweeps []pipelineSweep `json:"sweeps"`
@@ -299,8 +299,8 @@ type pipelineReport struct {
 
 type pipelineSweep struct {
 	Batch int `json:"batch"`
-	// Windows lists one measurement per swept window size; window 1 is the
-	// synchronous request/response baseline.
+	// Windows lists one measurement per swept window size; window 1, one
+	// frame in flight, is the request/response baseline.
 	Windows []pipelinePoint `json:"windows"`
 }
 
@@ -313,7 +313,7 @@ type pipelinePoint struct {
 // runClusterBench measures cluster ingest across the transport matrix plus
 // the pipeline window sweep and writes the machine-readable report to path.
 // If requireSpeedup > 0 and the best pipelined window does not beat the
-// synchronous path by that factor, an error is returned (the CI smoke gate).
+// one-frame window by that factor, an error is returned (the CI smoke gate).
 func runClusterBench(path string, elements int, shardList, windowList string, seed uint64, requireSpeedup float64, failover, reshard, autopilot, slidingFailover, tracing, durability bool, windowSlots int64, replicas int, syncInterval time.Duration) error {
 	report := &clusterBenchReport{
 		GeneratedUnix:        time.Now().Unix(),
@@ -433,7 +433,7 @@ func runClusterBench(path string, elements int, shardList, windowList string, se
 }
 
 // runFailoverBench runs the kill/promote benchmark in both transport modes
-// (synchronous batched and pipelined, flood mode so the wire is the
+// (one frame and eight frames in flight, flood mode so the wire is the
 // bottleneck) at the sweep's largest shard count. Each run internally fails
 // if the post-promotion merged sample diverges from the centralized
 // reference, so a successful section is also a correctness proof.
@@ -473,7 +473,7 @@ func runFailoverBench(elements, shards, replicas int, syncInterval time.Duration
 }
 
 // runAutopilotBench runs the watcher-initiated split benchmark in both
-// transport modes (synchronous batched and pipelined, flood mode so the
+// transport modes (one frame and eight frames in flight, flood mode so the
 // per-shard offer counters see the stream's true skew) at the sweep's
 // largest shard count. Each run arms the watcher against a Zipf-skewed
 // stream and fails unless a hands-off split lands with the merged sample
@@ -518,12 +518,12 @@ func runAutopilotBench(elements, shards, replicas int, syncInterval time.Duratio
 }
 
 // runDurabilityBench runs the snapshot-spool benchmark in both transport
-// modes (synchronous batched and pipelined, flood mode so background spooling
-// competes with real wire pressure) at the sweep's largest shard count. Each
-// run ingests the same stream with the spool off and on, measures the forced
-// spool-barrier latency, halts the cluster as a power loss would, and times
-// the cold restore — failing unless the restored merged sample matches the
-// centralized reference exactly.
+// modes (one frame and eight frames in flight, flood mode so background
+// spooling competes with real wire pressure) at the sweep's largest shard
+// count. Each run ingests the same stream with the spool off and on, measures
+// the forced spool-barrier latency, halts the cluster as a power loss would,
+// and times the cold restore — failing unless the restored merged sample
+// matches the centralized reference exactly.
 func runDurabilityBench(elements, shards, replicas int, syncInterval time.Duration, seed uint64) (*durabilityReport, error) {
 	rep := &durabilityReport{
 		Replicas:       replicas,
@@ -608,7 +608,7 @@ func runSlidingFailoverBench(elements, shards int, windowSlots int64, replicas i
 }
 
 // runReshardBench runs the online split+merge benchmark in both transport
-// modes (synchronous batched and pipelined, flood mode so the wire is the
+// modes (one frame and eight frames in flight, flood mode so the wire is the
 // bottleneck) at the sweep's largest shard count. Each run splits a shard
 // live under mid-ingest load, measures throughput before/during/after plus
 // the cutover stall, merges the ranges back, and internally fails if the
@@ -732,7 +732,7 @@ func runPipelineSweep(elements, shards int, windowList string, seed uint64) (*pi
 			}
 			if syncOps == 0 {
 				if window != 1 {
-					return nil, fmt.Errorf("ddsbench: -bench-windows must start with 1 (the synchronous baseline), got %d", window)
+					return nil, fmt.Errorf("ddsbench: -bench-windows must start with 1 (the one-frame baseline), got %d", window)
 				}
 				syncOps = res.OpsPerSec
 			}

@@ -295,7 +295,7 @@ func main() {
 	flag.Uint64Var(&f.HashSeed, "hash-seed", dds.DefaultSeed, "shared hash-function seed (must match on all nodes)")
 	flag.StringVar(&f.Codec, "codec", "binary", "wire codec: json or binary")
 	flag.IntVar(&f.Batch, "batch", 1, "offers per batch frame; > 1 enables batched transport (site role)")
-	flag.IntVar(&f.Pipeline, "pipeline", 0, "pipelined ingest: max batch frames in flight per connection; 0 = synchronous (site role; try 8)")
+	flag.IntVar(&f.Pipeline, "pipeline", 0, "pipelined ingest: max batch frames in flight per connection; 0 = one frame, the request/response dialogue (site role; try 8)")
 	flag.StringVar(&f.Admin, "admin", "", "resharding admin address: the cluster-coordinator role listens on it, site/query/reshard roles connect to it")
 	flag.StringVar(&f.Split, "split", "", "reshard role: split shard slot SLOT (or SLOT:FRAC for a cut at that fraction of its range)")
 	flag.IntVar(&f.MergeRange, "merge-range", -1, "reshard role: merge this range index with the range to its right")

@@ -27,9 +27,9 @@ type BenchConfig struct {
 	Distinct   int
 	Codec      wire.Codec
 	Batch      int
-	// Window > 1 enables pipelined ingest with that many batches in flight
-	// per connection (see wire.Options.Window); 0 or 1 is the synchronous
-	// request/response path.
+	// Window is the credit window: how many batch frames may be in flight
+	// per connection (see wire.Options.Window); 0 or 1 keeps one frame in
+	// flight, the request/response dialogue.
 	Window int
 	// Flood makes every site offer every arrival unconditionally instead of
 	// running the protocol's local threshold filter. The coordinator's

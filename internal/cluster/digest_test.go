@@ -37,8 +37,8 @@ func (h *countingHasher) Unit(key string) float64 {
 // tracing wrapper does.
 type siteOnly struct{ netsim.SiteNode }
 
-// digestOpts are the transports a digest travels through: synchronous
-// per-offer, synchronous batched, and pipelined.
+// digestOpts are the transport settings a digest travels through: one offer
+// per frame, batched, and pipelined.
 var digestOpts = []wire.Options{
 	{Codec: wire.CodecJSON},
 	{Codec: wire.CodecBinary, BatchSize: 16},

@@ -25,7 +25,7 @@ import (
 // acceptance test: kill a shard primary mid-ingest with R = 1 warm replicas,
 // let the site clients promote and replay, and require the final merged
 // sample to be byte-identical to the centralized reference — for C in
-// {1, 2, 4} shards, under both synchronous and pipelined ingest.
+// {1, 2, 4} shards, with one frame and with a deeper window in flight.
 //
 // The kill lands at the stream's midpoint after a quiesce (flush + forced
 // state push): the paper's analysis makes replication exact only up to the
@@ -58,7 +58,7 @@ func TestClusterFailoverMatchesReference(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		for _, opts := range []wire.Options{
-			{Codec: wire.CodecBinary, BatchSize: 16},            // synchronous batched
+			{Codec: wire.CodecBinary, BatchSize: 16},            // one frame in flight
 			{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, // pipelined
 		} {
 			name := fmt.Sprintf("shards=%d window=%d", shards, opts.Window)

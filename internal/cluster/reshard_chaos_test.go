@@ -23,7 +23,7 @@ import (
 // TestReshardChaosMatchesReference is the resharding subsystem's acceptance
 // test: drive k concurrent sites through a scripted-random sequence of
 // online shard splits, merges, and one primary kill, for initial shard
-// counts C in {1, 2, 4} under both synchronous-batched and pipelined binary
+// counts C in {1, 2, 4} under both one-frame and pipelined batched binary
 // ingest, and require the merged cluster sample to be byte-identical to the
 // centralized reference after every step.
 //
@@ -61,7 +61,7 @@ func TestReshardChaosMatchesReference(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		for _, opts := range []wire.Options{
-			{Codec: wire.CodecBinary, BatchSize: 16},            // synchronous batched
+			{Codec: wire.CodecBinary, BatchSize: 16},            // one frame in flight
 			{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, // pipelined
 		} {
 			name := fmt.Sprintf("shards=%d window=%d", shards, opts.Window)

@@ -598,9 +598,9 @@ func (c *SiteClient) promoteWalk(shard int, start time.Time) error {
 		return errors.New("no replicas configured")
 	}
 	// The old connection is dead; collect everything it could not prove was
-	// applied. Close first so a synchronous client's final flush attempt has
-	// stashed its pending buffer. (sc.client is nil when the *initial* dial
-	// failed — nothing to retire or replay then.)
+	// applied. Close first, so its final flush attempt has run and its reader
+	// has exited before Unacked collects what is left. (sc.client is nil when
+	// the *initial* dial failed — nothing to retire or replay then.)
 	var unacked []wire.BatchEntry
 	if sc.client != nil {
 		_ = sc.client.Close()

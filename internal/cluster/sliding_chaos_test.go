@@ -25,7 +25,7 @@ import (
 // store, slot clock, and candidate became a first-class core.State — now gets
 // replication, failover, and online resharding exactly like the
 // infinite-window sampler. For initial shard counts C in {1, 2, 4}, under
-// synchronous-batched and pipelined binary ingest, k sites drive a slotted
+// one-frame and pipelined batched binary ingest, k sites drive a slotted
 // stream through scripted-random online splits and merges plus one quiesced
 // mid-ingest primary kill, and after every chunk the merged window sample
 // must be byte-identical to the single-coordinator reference.
@@ -100,7 +100,7 @@ func TestSlidingChaosMatchesReference(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		for _, opts := range []wire.Options{
-			{Codec: wire.CodecBinary, BatchSize: 8},            // synchronous batched
+			{Codec: wire.CodecBinary, BatchSize: 8},            // one frame in flight
 			{Codec: wire.CodecBinary, BatchSize: 8, Window: 4}, // pipelined
 		} {
 			name := fmt.Sprintf("shards=%d window=%d", shards, opts.Window)

@@ -14,15 +14,16 @@ import (
 )
 
 // TestStaleSiteStrayKeysAcrossReshards asserts the fix for ROADMAP gap (a):
-// coordinators push route updates to every connected site at cutover, and
-// donors fence offers for ranges they gave away, so a *cross-process* site
-// that nobody restarted still follows reshards. The test drives the whole
-// healing path end to end: a stale, unregistered site offers "stray" keys
-// whose range moved to another shard in a reshard it never applied; the
-// donor's strict-route fence NACKs them with wire.ErrStaleRoute, the client
-// adopts the pushed table and replays the refused offers to the new owner,
-// and after a SECOND reshard prunes the donor the strays are still in the
-// merged sample — byte-identical to a reference that saw every key.
+// coordinators push route updates to every connected site at cutover, so a
+// *cross-process* site that nobody restarted still follows reshards. A
+// stale, unregistered site takes the first reshard's route push on its
+// connection's reader, then offers "stray" keys whose range moved to another
+// shard in that reshard: it routes them straight to their new owner, so the
+// donor's strict-route fence never fires and no reroute is spent, and after
+// a SECOND reshard prunes the donor the strays are still in the merged
+// sample — byte-identical to a reference that saw every key. (A site that
+// misses the push heals through the fence instead; the FanOutHeal tests
+// cover that path.)
 //
 // Before the push channel existed this test pinned the opposite contract:
 // strays were silently dropped by the second reshard's restrict prune, and
@@ -61,10 +62,18 @@ func TestStaleSiteStrayKeysAcrossReshards(t *testing.T) {
 
 	// The stale external site: dialed under the original 1-shard partition
 	// and never registered, so no cutover ever flips it — exactly a site in
-	// another process that nobody restarted.
+	// another process that nobody restarted. Only route pushes reach it;
+	// DialGroups parks each one in the client's mailbox before calling this
+	// callback.
+	pushed := make(chan struct{}, 1)
 	stale, err := DialGroups(srv.GroupAddrs(), router, func(int) netsim.SiteNode {
 		return core.NewInfiniteSite(1, hasher)
-	}, wire.Options{Codec: wire.CodecBinary})
+	}, wire.Options{Codec: wire.CodecBinary, OnRoutePush: func(*wire.Frame) {
+		select {
+		case pushed <- struct{}{}:
+		default:
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +119,13 @@ func TestStaleSiteStrayKeysAcrossReshards(t *testing.T) {
 	runPlanPumping(t, []*SiteClient{registered}, func() (*ReshardReport, error) { return rs.Split(0, mid) })
 	checkMerged("after first split", oracle.Sample())
 
-	// Stray keys: offered by the stale site toward slot 0 even though their
-	// routing hash moved to slot 1 — and chosen with tiny unit hashes so
-	// they land in the global bottom-s and any loss is visible. (Unit hash
-	// decides sample membership; the routing hash is its SplitMix64 rehash,
-	// so "in the moved range" and "in the bottom-s" are independent and
-	// both satisfiable.) The donor's restrict fence NACKs each one; the
-	// client heals by applying the route-push buffered on its connection
-	// and replaying the stray to slot 1.
+	// Stray keys: their routing hash moved to slot 1, which the stale site
+	// routed to slot 0 before the split — and chosen with tiny unit hashes
+	// so they land in the global bottom-s and any loss is visible. (Unit
+	// hash decides sample membership; the routing hash is its SplitMix64
+	// rehash, so "in the moved range" and "in the bottom-s" are independent
+	// and both satisfiable.) The stale site applies the pushed table at its
+	// next call and offers each stray to slot 1.
 	var strays []string
 	for i := 0; len(strays) < 3 && i < 4_000_000; i++ {
 		key := fmt.Sprintf("stray-%d", i)
@@ -132,6 +140,12 @@ func TestStaleSiteStrayKeysAcrossReshards(t *testing.T) {
 	if len(strays) < 3 {
 		t.Fatal("could not find stray candidates (hash search exhausted)")
 	}
+	select {
+	case <-pushed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no route push reached the stale site")
+	}
+	beforeStrays := obs.Default().Snapshot()
 	for _, key := range strays {
 		oracle.Observe(key)
 		if err := stale.Observe(key, 0); err != nil {
@@ -154,12 +168,17 @@ func TestStaleSiteStrayKeysAcrossReshards(t *testing.T) {
 		}
 	}
 
-	// The strays were fenced, rerouted, and accepted by their new owner, so
-	// queries are exact immediately.
-	checkMerged("after stale strays (rerouted)", oracle.Sample())
+	// The strays went straight to their new owner, so queries are exact
+	// immediately, and nothing was fenced or rerouted on the way.
+	checkMerged("after stale strays (pushed table)", oracle.Sample())
+	afterStrays := obs.Default().Snapshot()
+	for _, name := range []string{`dds_wire_fence_rejections_total{fence="strict-route"}`, `dds_retry_attempts_total{op="reroute"}`} {
+		if d := afterStrays.Counter(name) - beforeStrays.Counter(name); d != 0 {
+			t.Fatalf("%s moved by %d while the strays were offered: the stale site did not follow the push", name, d)
+		}
+	}
 
-	// The heal must have flipped the stale client to the pushed table — the
-	// next strays route straight to slot 1 with no further fencing.
+	// The push flipped the stale client to the current table.
 	if v := stale.RouteVersion(); v < rs.Table().Version {
 		t.Fatalf("stale client route version = %d, want >= %d (pushed table applied)", v, rs.Table().Version)
 	}
@@ -178,16 +197,11 @@ func TestStaleSiteStrayKeysAcrossReshards(t *testing.T) {
 	// strays included: no offer was lost to the missed reshard.
 	checkMerged("after second split (strays survive)", oracle.Sample())
 
-	// And the healing path really ran: coordinators pushed route frames, the
-	// donor fenced at least one stray, and the client spent reroute retries.
-	// Deltas, not absolutes — the registry is process-global.
+	// And the coordinators really pushed route frames at cutover. A delta,
+	// not an absolute — the registry is process-global.
 	after := obs.Default().Snapshot()
-	delta := func(name string) uint64 { return after.Counter(name) - before.Counter(name) }
-	if d := delta("dds_route_pushes_total"); d == 0 {
+	if d := after.Counter("dds_route_pushes_total") - before.Counter("dds_route_pushes_total"); d == 0 {
 		t.Fatal("dds_route_pushes_total did not move: no route frames were pushed at cutover")
-	}
-	if d := delta(`dds_retry_attempts_total{op="reroute"}`); d == 0 {
-		t.Fatal(`dds_retry_attempts_total{op="reroute"} did not move: the stale client never healed`)
 	}
 
 	if err := registered.Close(); err != nil {
@@ -195,14 +209,21 @@ func TestStaleSiteStrayKeysAcrossReshards(t *testing.T) {
 	}
 }
 
-// TestFanOutHealOnCallerGoroutine: a two-shard pipelined client that missed a
-// reshard moving part of slot 0's range to slot 1 flushes offers for the
-// moved keys. Its drain fan-out hits slot 0's stale-route fence, and the heal
-// replays the refused offers into slot 1's connection — which a sibling
-// fan-out goroutine is flushing at the same time, so the heal must wait for
-// the join and run on the caller's goroutine (run under -race). The merged
-// sample stays byte-identical to the reference.
+// TestFanOutHealOnCallerGoroutine: a two-shard client that missed a reshard
+// moving part of slot 0's range to slot 1 flushes offers for the moved keys.
+// Its drain fan-out hits slot 0's stale-route fence, and the heal replays the
+// refused offers into slot 1's connection — which a sibling fan-out
+// goroutine is flushing at the same time, so the heal must wait for the join
+// and run on the caller's goroutine (run under -race). The merged sample
+// stays byte-identical to the reference. It runs with one frame and with two
+// in flight.
 func TestFanOutHealOnCallerGoroutine(t *testing.T) {
+	for _, window := range []int{1, 2} {
+		t.Run(fmt.Sprintf("window%d", window), func(t *testing.T) { testFanOutHealOnCallerGoroutine(t, window) })
+	}
+}
+
+func testFanOutHealOnCallerGoroutine(t *testing.T, window int) {
 	const (
 		s    = 8
 		seed = 29
@@ -221,7 +242,7 @@ func TestFanOutHealOnCallerGoroutine(t *testing.T) {
 	// One batch per shard, shipped only by the drain.
 	client, err := DialSites(srv.Addrs(), router, func(int) netsim.SiteNode {
 		return core.NewInfiniteSite(0, hasher)
-	}, wire.Options{Codec: wire.CodecBinary, BatchSize: 1 << 12, Window: 2})
+	}, wire.Options{Codec: wire.CodecBinary, BatchSize: 1 << 12, Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +280,15 @@ func TestFanOutHealOnCallerGoroutine(t *testing.T) {
 		t.Fatalf("the route update was applied %d times, want once", n)
 	}
 	after := obs.Default().Snapshot()
-	if d := after.Counter(`dds_retry_attempts_total{op="reroute"}`) - before.Counter(`dds_retry_attempts_total{op="reroute"}`); d == 0 {
+	delta := func(name string) uint64 { return after.Counter(name) - before.Counter(name) }
+	if delta(`dds_retry_attempts_total{op="reroute"}`) == 0 {
 		t.Fatal("the drain never hit the stale-route fence")
+	}
+	if delta(`dds_wire_fence_rejections_total{fence="strict-route"}`) == 0 {
+		t.Fatal("the stale-route NACK was not counted as a strict-route fence")
+	}
+	if d := delta("dds_lease_lapses_total"); d != 0 {
+		t.Fatalf("the stale-route NACK counted %d lease lapses", d)
 	}
 	if got := srv.MergedSample(s); !oracle.SameSample(got) {
 		t.Fatalf("merged sample (%d moved keys in the reference's) differs from the reference:\n got: %v\nwant: %v", strays, got, oracle.Sample())
@@ -288,8 +316,15 @@ func fenceServers(t *testing.T, srv *Server, router *ShardRouter, next RangeTabl
 // TestFanOutHealSkipsRetiredSlot: two shards of one drain fan-out are
 // fenced, and healing the first flips to a table that retires the second,
 // after settling its offers. The second then needs no heal of its own, and
-// the client must not re-dial the retired slot.
+// the client must not re-dial the retired slot. It runs with one frame and
+// with two in flight.
 func TestFanOutHealSkipsRetiredSlot(t *testing.T) {
+	for _, window := range []int{1, 2} {
+		t.Run(fmt.Sprintf("window%d", window), func(t *testing.T) { testFanOutHealSkipsRetiredSlot(t, window) })
+	}
+}
+
+func testFanOutHealSkipsRetiredSlot(t *testing.T, window int) {
 	const (
 		s    = 8
 		seed = 29
@@ -307,7 +342,7 @@ func TestFanOutHealSkipsRetiredSlot(t *testing.T) {
 
 	client, err := DialSites(srv.Addrs(), router, func(int) netsim.SiteNode {
 		return core.NewInfiniteSite(0, hasher)
-	}, wire.Options{Codec: wire.CodecBinary, BatchSize: 1 << 12, Window: 2})
+	}, wire.Options{Codec: wire.CodecBinary, BatchSize: 1 << 12, Window: window})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func (nullConn) Flush() error                 { return nil }
 // pump drives a fixed frame sequence through a conn and returns its trace.
 func pump(seed int64, sc Scenario) []string {
 	c := Wrap(nullConn{}, seed, sc)
-	types := []string{wire.FrameOffer, wire.FrameBatch, wire.FrameState, wire.FrameLeaseRenew}
+	types := []string{wire.FrameBatch, wire.FrameBatch, wire.FrameState, wire.FrameLeaseRenew}
 	for i := 0; i < 400; i++ {
 		_ = c.WriteFrame(&wire.Frame{Type: types[i%len(types)]})
 	}
@@ -51,18 +51,18 @@ func TestDeterministicFaultSequence(t *testing.T) {
 // the severed direction, and that healing restores the link.
 func TestCutSeversAndHeals(t *testing.T) {
 	c := Wrap(nullConn{}, 1, Scenario{})
-	if err := c.WriteFrame(&wire.Frame{Type: wire.FrameOffer}); err != nil {
+	if err := c.WriteFrame(&wire.Frame{Type: wire.FrameBatch}); err != nil {
 		t.Fatalf("clean write failed: %v", err)
 	}
 	c.Cut(Send, true)
-	if err := c.WriteFrame(&wire.Frame{Type: wire.FrameOffer}); !errors.Is(err, ErrPartitioned) {
+	if err := c.WriteFrame(&wire.Frame{Type: wire.FrameBatch}); !errors.Is(err, ErrPartitioned) {
 		t.Fatalf("write on cut link: err = %v, want ErrPartitioned", err)
 	}
 	if err := c.ReadFrame(&wire.Frame{}); errors.Is(err, ErrPartitioned) {
 		t.Fatal("one-way Send cut severed the read direction too")
 	}
 	c.Cut(Send, false)
-	if err := c.WriteFrame(&wire.Frame{Type: wire.FrameOffer}); err != nil {
+	if err := c.WriteFrame(&wire.Frame{Type: wire.FrameBatch}); err != nil {
 		t.Fatalf("write after heal failed: %v", err)
 	}
 }
@@ -77,13 +77,13 @@ func TestInjectorPartitionCoversRedials(t *testing.T) {
 	in.Partition(Both, true)
 	during := in.Wrap(nullConn{})
 	for i, fc := range []wire.FrameConn{before, during} {
-		if err := fc.WriteFrame(&wire.Frame{Type: wire.FrameOffer}); !errors.Is(err, ErrPartitioned) {
+		if err := fc.WriteFrame(&wire.Frame{Type: wire.FrameBatch}); !errors.Is(err, ErrPartitioned) {
 			t.Fatalf("conn %d: write during partition: err = %v, want ErrPartitioned", i, err)
 		}
 	}
 	in.Partition(Both, false)
 	for i, fc := range []wire.FrameConn{before, during} {
-		if err := fc.WriteFrame(&wire.Frame{Type: wire.FrameOffer}); err != nil {
+		if err := fc.WriteFrame(&wire.Frame{Type: wire.FrameBatch}); err != nil {
 			t.Fatalf("conn %d: write after heal: %v", i, err)
 		}
 	}

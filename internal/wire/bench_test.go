@@ -204,10 +204,10 @@ func TestDecodeFrameAllocsBoundedByKeys(t *testing.T) {
 	}
 }
 
-// BenchmarkTransport compares the wire codecs, batch sizes, and pipeline
+// BenchmarkTransport compares the wire codecs, batch sizes, and credit
 // windows on the raw offer path: one JSON request/response per offer versus
-// length-prefixed binary frames batching 16 or 64 offers, synchronously or
-// with a credit window of batches in flight.
+// length-prefixed binary frames batching 16 or 64 offers, with one frame or
+// a deeper window of frames in flight.
 func BenchmarkTransport(b *testing.B) {
 	cases := []struct {
 		name string

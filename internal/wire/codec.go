@@ -69,13 +69,12 @@ const maxFrameSize = 16 << 20
 // frames added after DDS2 shipped; adding codes is layout-compatible
 // (existing frames encode unchanged, and a peer that predates a code rejects
 // it cleanly as unknown), so the preamble digit only moves when an existing
-// frame's layout changes. Codes 0x08 and 0x0c carried the retired
-// flat-sample state-sync and range-handoff frames; they are never reused, so
-// a stale peer still sending them is rejected as unknown rather than
-// misparsed as a newer frame.
+// frame's layout changes. Code 0x02 carried the retired one-message offer
+// frame, and codes 0x08 and 0x0c the retired flat-sample state-sync and
+// range-handoff frames; they are never reused, so a stale peer still sending
+// them is rejected as unknown rather than misparsed as a newer frame.
 const (
 	binHello       = 0x01
-	binOffer       = 0x02
 	binReplies     = 0x03
 	binQuery       = 0x04
 	binSample      = 0x05
@@ -100,7 +99,6 @@ const (
 
 var binToName = map[byte]string{
 	binHello:        FrameHello,
-	binOffer:        FrameOffer,
 	binReplies:      FrameReplies,
 	binQuery:        FrameQuery,
 	binSample:       FrameSample,
@@ -129,7 +127,6 @@ const (
 
 var nameToBin = map[string]byte{
 	FrameHello:        binHello,
-	FrameOffer:        binOffer,
 	FrameReplies:      binReplies,
 	FrameQuery:        binQuery,
 	FrameSample:       binSample,
@@ -148,11 +145,11 @@ var nameToBin = map[string]byte{
 
 // frameConn reads and writes protocol frames in one concrete codec. A
 // connection is used by at most one reading and one writing goroutine at a
-// time (the pipelined client reads replies from a dedicated goroutine while
-// the caller writes); each side owns its own scratch state.
+// time (a site client reads replies from a dedicated goroutine while the
+// caller writes); each side owns its own scratch state.
 //
 // WriteFrame may buffer; Flush pushes everything buffered to the wire.
-// Callers must Flush before blocking on a response — the pipelined writer
+// Callers must Flush before blocking on a response — the site client's writer
 // exploits this to coalesce several frames into one syscall, flushing only
 // when it is about to wait for credits.
 type frameConn interface {
@@ -168,7 +165,7 @@ type frameConn interface {
 type FrameConn = frameConn
 
 // jsonConn is the original one-JSON-object-per-line transport. Writes are
-// unbuffered (Flush is a no-op), matching the legacy synchronous dialogue.
+// unbuffered (Flush is a no-op): each frame leaves as it is encoded.
 type jsonConn struct {
 	dec *json.Decoder
 	enc *json.Encoder
@@ -213,10 +210,10 @@ func (c *jsonConn) Flush() error { return nil }
 const binBufSize = 64 << 10
 
 // binConn is the length-prefixed binary transport. Writes are buffered until
-// Flush, so a run of pipelined batch frames costs one syscall. Read and
-// write scratch buffers are separate and persistent: a pipelined client
-// reads from a dedicated goroutine while the writer keeps encoding, and
-// neither side reallocates once warm.
+// Flush, so a run of batch frames costs one syscall. Read and write scratch
+// buffers are separate and persistent: a site client reads from a dedicated
+// goroutine while the writer keeps encoding, and neither side reallocates
+// once warm.
 type binConn struct {
 	r    *bufio.Reader
 	w    *bufio.Writer
@@ -252,12 +249,6 @@ func (c *binConn) WriteFrame(f *Frame) error {
 	switch code {
 	case binHello:
 		buf = binary.AppendUvarint(buf, uint64(f.Site))
-	case binOffer:
-		buf = binary.AppendVarint(buf, f.Slot)
-		if f.Msg == nil {
-			return fmt.Errorf("wire: offer frame without message")
-		}
-		buf = appendMessage(buf, *f.Msg)
 	case binReplies:
 		buf = binary.AppendUvarint(buf, f.Seq)
 		buf = binary.AppendUvarint(buf, uint64(len(f.Msgs)))
@@ -383,10 +374,6 @@ func (c *binConn) ReadFrame(f *Frame) error {
 	switch code {
 	case binHello:
 		f.Site = int(d.uvarint())
-	case binOffer:
-		f.Slot = d.varint()
-		m := d.message()
-		f.Msg = &m
 	case binReplies:
 		f.Seq = d.uvarint()
 		count := d.uvarint()

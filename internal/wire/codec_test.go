@@ -32,9 +32,9 @@ func pipeBin(t *testing.T) (client, server frameConn, cleanup func()) {
 func TestBinaryCodecRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Type: FrameHello, Site: 7},
-		{Type: FrameOffer, Slot: -3, Msg: &netsim.Message{
+		{Type: FrameBatch, Batch: []BatchEntry{{Slot: -3, Msg: netsim.Message{
 			Kind: netsim.KindOffer, Key: "alpha", Hash: 0.125, U: 0.5, Expiry: 42, Copy: 3, From: -1,
-		}},
+		}}}},
 		{Type: FrameReplies, Seq: 41, Msgs: []netsim.Message{
 			{Kind: netsim.KindThreshold, U: 0.25, From: netsim.CoordinatorID},
 			{Kind: netsim.KindWindowSample, Key: "beta", Hash: 0.75, Expiry: 9},
@@ -107,6 +107,14 @@ func legacyFrames() (stateSync, rangeHandoff []byte) {
 	return append(stateSync, entries...), append(rangeHandoff, entries...)
 }
 
+// retiredOffer returns a well-formed payload of the retired one-message offer
+// frame (code 0x02: slot, message), offering key at hash 0.001. Decoders that
+// knew the code applied it; the code is never reused, so it must now be
+// rejected as unknown.
+func retiredOffer(key string) []byte {
+	return appendMessage([]byte{0x02, 0}, netsim.Message{Kind: netsim.KindOffer, Key: key, Hash: 0.001})
+}
+
 // lengthPrefixed frames a binary payload with its uint32 length prefix.
 func lengthPrefixed(payload []byte) []byte {
 	return append(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))), payload...)
@@ -119,13 +127,14 @@ func TestBinaryCodecRejectsCorruptInput(t *testing.T) {
 		{0x00, 0x00, 0x00, 0x00}, // zero-length frame
 		append(binary.LittleEndian.AppendUint32(nil, uint32(maxFrameSize+1)), 0x01), // oversized
 		append(binary.LittleEndian.AppendUint32(nil, 1), 0x7f),                      // unknown frame code
-		append(binary.LittleEndian.AppendUint32(nil, 2), binOffer, 0x01),            // truncated offer
+		append(binary.LittleEndian.AppendUint32(nil, 3), binBatch, 0x00, 0x01),      // truncated batch
 		// replies frame claiming far more messages than the payload holds
 		append(binary.LittleEndian.AppendUint32(nil, 3), binReplies, 0xff, 0x7f),
 	}
-	// Retired codes: well-formed legacy state-sync and range-handoff frames.
+	// Retired codes: well-formed legacy offer, state-sync and range-handoff
+	// frames.
 	stateSync, rangeHandoff := legacyFrames()
-	corrupt = append(corrupt, lengthPrefixed(stateSync), lengthPrefixed(rangeHandoff))
+	corrupt = append(corrupt, lengthPrefixed(retiredOffer("ghost")), lengthPrefixed(stateSync), lengthPrefixed(rangeHandoff))
 	for i, raw := range corrupt {
 		c := newBinConn(bufio.NewReader(bytes.NewReader(raw)), &bytes.Buffer{})
 		var f Frame

@@ -33,6 +33,12 @@ func TestMalformedFrames(t *testing.T) {
 	garbage = append(garbage,
 		append(binMagic[:], lengthPrefixed(stateSync)...),
 		append(binMagic[:], lengthPrefixed(rangeHandoff)...))
+	// The retired one-message offer frame, well formed and sent after a
+	// hello in both codecs: a server that still applied it would put its
+	// key into the sample checked below.
+	garbage = append(garbage,
+		[]byte(`{"type":"hello"}`+"\n"+`{"type":"offer","msg":{"Kind":1,"Key":"ghost-json","Hash":0.001}}`+"\n"),
+		append(append(binMagic[:], lengthPrefixed([]byte{binHello, 0})...), lengthPrefixed(retiredOffer("ghost-binary"))...))
 	for i, raw := range garbage {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {

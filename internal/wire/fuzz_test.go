@@ -40,7 +40,7 @@ func corpusFrames() []Frame {
 	}
 	return []Frame{
 		{Type: FrameHello, Site: 4},
-		{Type: FrameOffer, Slot: 11, Msg: &msg},
+		{Type: FrameBatch, Seq: 11, Batch: []BatchEntry{{Slot: -11, Msg: msg}}},
 		{Type: FrameReplies, Seq: 3, Msgs: []netsim.Message{msg, {Kind: netsim.KindThreshold, U: 0.25}}},
 		{Type: FrameQuery},
 		{Type: FrameSample, Entries: entries},
@@ -144,12 +144,6 @@ func framesEquivalent(a, b *Frame) bool {
 		a.Epoch != b.Epoch || a.Lo != b.Lo || a.Hi != b.Hi || a.Error != b.Error ||
 		a.TraceID != b.TraceID || a.SpanID != b.SpanID || a.TraceFlags != b.TraceFlags ||
 		!bytes.Equal(a.State, b.State) {
-		return false
-	}
-	if (a.Msg == nil) != (b.Msg == nil) {
-		return false
-	}
-	if a.Msg != nil && !messagesEquivalent(*a.Msg, *b.Msg) {
 		return false
 	}
 	if len(a.Msgs) != len(b.Msgs) || len(a.Batch) != len(b.Batch) || len(a.Entries) != len(b.Entries) {

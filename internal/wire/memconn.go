@@ -8,9 +8,9 @@ import (
 )
 
 // memPipeDepth bounds each direction of an in-memory frame pipe. The credit
-// window is still what bounds a pipelined writer; the queue depth only
-// stands in for the kernel socket buffer, absorbing a short burst before a
-// write blocks.
+// window is still what bounds a site's writer; the queue depth only stands in
+// for the kernel socket buffer, absorbing a short burst before a write
+// blocks.
 const memPipeDepth = 16
 
 // MemConn is one end of an in-process frame pipe: the in-memory backend
@@ -50,10 +50,6 @@ func newMemPipe() (a, b *MemConn) {
 // connection.
 func copyFrame(f *Frame) Frame {
 	g := *f
-	if f.Msg != nil {
-		m := *f.Msg
-		g.Msg = &m
-	}
 	if f.Msgs != nil {
 		g.Msgs = append([]netsim.Message(nil), f.Msgs...)
 	}
@@ -168,13 +164,5 @@ func (s *CoordinatorServer) ServeMem() *MemConn {
 // irrelevant (frames are never encoded).
 func DialSiteMem(node netsim.SiteNode, srv *CoordinatorServer, opts Options) (*SiteClient, error) {
 	fc := srv.ServeMem()
-	c := &SiteClient{node: node, conn: fc, fc: fc, opts: opts}
-	if err := writeFlush(c.fc, &Frame{Type: FrameHello, Site: node.ID()}); err != nil {
-		fc.Close()
-		return nil, err
-	}
-	if opts.Window > 1 {
-		c.startPipeline()
-	}
-	return c, nil
+	return newSiteClient(node, fc, fc, opts)
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -21,11 +20,10 @@ var (
 	// Bytes on the wire, counted on the binary codec (length prefix included).
 	obsBytesOut *obs.Counter
 	obsBytesIn  *obs.Counter
-	// Batch sizes shipped by site clients (entries per batch frame), both
-	// synchronous and pipelined.
+	// Batch sizes shipped by site clients (entries per batch frame).
 	obsBatchSize *obs.Histogram
-	// Pipelined ingest: time from shipping a batch frame to its cumulative
-	// ack, and credit-window stalls (writer blocked on a full window).
+	// Site ingest: time from shipping a batch frame to its cumulative ack,
+	// and credit-window stalls (writer blocked on a full window).
 	obsAckLatencyNs  *obs.Histogram
 	obsCreditStalls  *obs.Counter
 	obsCreditStallNs *obs.Histogram
@@ -72,12 +70,13 @@ func fenceEvent(fence, frameType string, frameStamp, serverStamp uint64) {
 		"frame_stamp", frameStamp, "server_stamp", serverStamp)
 }
 
-// leaseFenceObs records one NACKed offer frame after the server lock is
-// released: a lease lapse counts once per lapse edge (lapsed is the edge
-// flag from leaseFenceLocked); a strict-route rejection counts every NACK —
-// each one is a stale site that will retry after applying the pushed table.
-func leaseFenceObs(lapsed bool, nack string) {
-	if strings.Contains(nack, leaseLapsedText) {
+// batchFenceObs records one NACKed batch frame after the server lock is
+// released. leaseFenced says the lease fence fired, not the strict-route one:
+// a lease lapse counts once per lapse edge (lapsed is the edge flag from
+// leaseFenceLocked); a strict-route rejection counts every NACK — each one is
+// a stale site that will retry after applying the pushed table.
+func batchFenceObs(leaseFenced, lapsed bool, nack string) {
+	if leaseFenced {
 		if lapsed {
 			obsLeaseLapses.Inc()
 			obs.Logger().Warn("lease lapsed", "detail", nack)
@@ -88,6 +87,6 @@ func leaseFenceObs(lapsed bool, nack string) {
 	obs.Logger().Warn("fence rejection", "fence", "strict-route", "detail", nack)
 }
 
-// nowNanos is time.Now().UnixNano(), indirected for readability at the
-// pipelined call sites.
+// nowNanos is time.Now().UnixNano(), indirected for readability at the call
+// sites.
 func nowNanos() int64 { return time.Now().UnixNano() }

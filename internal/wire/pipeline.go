@@ -10,7 +10,9 @@ import (
 	"repro/internal/obs"
 )
 
-// pipeline is the state of a pipelined site connection (Options.Window > 1).
+// pipeline is the state of a site connection's credit window of Window (at
+// least 1) batch frames. One frame in flight is Algorithms 1-2's
+// request/response dialogue; deeper windows stream.
 //
 // The caller's goroutine is the writer, and the only goroutine that touches
 // the site node, the scratch outbox and SiteClient.pending: Observe/EndSlot
@@ -19,7 +21,8 @@ import (
 // dedicated reader goroutine receives the coordinator's replies frames,
 // matches them to batches by sequence number (the server echoes each batch's
 // Seq and TCP preserves order, so replies must arrive in send order), queues
-// the replies for the writer, and returns the batch's credit. The writer
+// the replies for the writer, and returns the batch's credit. It also hands
+// route-push frames to Options.OnRoutePush as they arrive. The writer
 // applies the queue to the site node at its next call (applyReplies), so a
 // dropped arrival — the common case — costs one atomic load of ready and no
 // lock.
@@ -96,12 +99,6 @@ type queuedReply struct {
 // inflight returns the number of unacknowledged batches. Callers hold mu.
 func (p *pipeline) inflight() int { return int(p.sendSeq - p.ackSeq) }
 
-// startPipeline arms pipelined mode on a freshly dialed client.
-func (c *SiteClient) startPipeline() {
-	c.pipe = &pipeline{cond: sync.NewCond(&c.mu), done: make(chan struct{})}
-	go c.readLoop()
-}
-
 // failPipe records the pipeline's first error, raises ready so the writer's
 // next call finds it, and wakes every waiter. Callers must hold mu.
 func (c *SiteClient) failPipe(err error) {
@@ -120,20 +117,12 @@ func (c *SiteClient) fail(err error) error {
 	return err
 }
 
-// batchSize is the operative batch size: Options.BatchSize, at least 1.
-func (c *SiteClient) batchSize() int {
-	if c.opts.BatchSize < 1 {
-		return 1
-	}
-	return c.opts.BatchSize
-}
-
 // applyReplies takes the reply queue and feeds it into the site node on the
 // writer's goroutine, buffering any offers the node emits in response, and
 // then returns the pipeline's sticky error, if any: replies that arrived
 // before a failure still reach the node.
 func (c *SiteClient) applyReplies() error {
-	p := c.pipe
+	p := &c.pipe
 	c.mu.Lock()
 	queue := p.replies
 	p.replies, p.spare = p.spare[:0], queue[:0]
@@ -150,44 +139,6 @@ func (c *SiteClient) applyReplies() error {
 		}
 	}
 	return err
-}
-
-// pipeObserve is Observe in pipelined mode: apply any queued replies, run the
-// site callback, buffer its messages, and ship a full batch without waiting
-// for replies. It takes mu only when replies are queued, when the pipeline
-// has failed, or when a batch ships.
-func (c *SiteClient) pipeObserve(key string, d uint64, digested bool, slot int64) error {
-	if c.pipe.ready.Load() {
-		if err := c.applyReplies(); err != nil {
-			return err
-		}
-	}
-	c.scratch.Reset()
-	c.arrive(key, d, digested, slot)
-	if len(c.scratch.Envelopes()) > 0 {
-		if err := c.buffer(slot); err != nil {
-			return err
-		}
-	}
-	if len(c.pending) < c.batchSize() {
-		return nil
-	}
-	return c.ship(false)
-}
-
-// pipeEndSlot is EndSlot in pipelined mode: apply any queued replies, run the
-// slot-end callback, then drain the window so nothing crosses the slot
-// boundary unacknowledged.
-func (c *SiteClient) pipeEndSlot(slot int64) error {
-	if err := c.applyReplies(); err != nil {
-		return err
-	}
-	c.scratch.Reset()
-	c.node.OnSlotEnd(slot, &c.scratch)
-	if err := c.buffer(slot); err != nil {
-		return err
-	}
-	return c.pipeFlush()
 }
 
 // buffer appends the scratch outbox's messages to the pending buffer and
@@ -213,8 +164,8 @@ func (c *SiteClient) buffer(slot int64) error {
 // frames ride one syscall, and the coordinator always sees every shipped
 // frame before the writer goes to sleep (no flush, no progress, deadlock).
 func (c *SiteClient) ship(all bool) error {
-	batchSize := c.batchSize()
-	flush := func() error {
+	batchSize := c.opts.BatchSize
+	flushWire := func() error {
 		if !c.pipe.wireDirty {
 			return nil
 		}
@@ -230,7 +181,7 @@ func (c *SiteClient) ship(all bool) error {
 		for c.pipe.inflight() >= c.opts.Window && c.pipe.err == nil {
 			if c.pipe.wireDirty {
 				c.mu.Unlock()
-				if err := flush(); err != nil {
+				if err := flushWire(); err != nil {
 					return err
 				}
 				c.mu.Lock()
@@ -259,7 +210,7 @@ func (c *SiteClient) ship(all bool) error {
 			// While credits remain, frames stay buffered for coalescing;
 			// only a drain (all) forces them out now.
 			if all {
-				return flush()
+				return flushWire()
 			}
 			return nil
 		}
@@ -318,34 +269,10 @@ func (c *SiteClient) ship(all bool) error {
 	}
 }
 
-// pipeFlush ships everything buffered and waits until the window is fully
-// drained, then applies the queued replies, looping while they generate new
-// offers. On return either every offer the site ever emitted has been
-// acknowledged by the coordinator and its replies applied, or an error is
-// reported.
-func (c *SiteClient) pipeFlush() error {
-	for {
-		if err := c.ship(true); err != nil {
-			return err
-		}
-		c.mu.Lock()
-		for c.pipe.inflight() > 0 && c.pipe.err == nil {
-			c.pipe.cond.Wait()
-		}
-		c.mu.Unlock()
-		if err := c.applyReplies(); err != nil {
-			return err
-		}
-		if len(c.pending) == 0 {
-			return nil
-		}
-	}
-}
-
-// readLoop is the dedicated reply reader of a pipelined connection. It
-// verifies reply sequencing, queues replies for the writer (it never calls
-// the site node), and returns credits. It exits on the first error or when
-// the connection closes.
+// readLoop is the dedicated reply reader of a site connection. It verifies
+// reply sequencing, queues replies for the writer (it never calls the site
+// node), returns credits, and hands route pushes to the callback. It exits
+// on the first error or when the connection closes.
 func (c *SiteClient) readLoop() {
 	defer close(c.pipe.done)
 	var f Frame

@@ -3,7 +3,9 @@ package wire
 import (
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -156,11 +158,81 @@ func TestPipelinedSlidingWindowEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPipelinedAtLeast1_3xSyncBatched is the perf acceptance check of the
-// pipelined path, mirroring TestBatchedBinaryAtLeast3xJSON: streaming
-// batches with a credit window must beat the synchronous batched path by at
-// least 1.3x on localhost (measured ratios are typically ~2x and above;
-// 1.3x leaves headroom for loaded CI).
+// TestOneFrameWindowMatchesSequentialEngine pins the transport to the
+// paper's dialogue: with one frame in flight (Window 0 or 1) and one offer
+// per frame, a site and a coordinator over TCP exchange exactly the messages
+// the sequential engine of record counts, in both codecs, and the
+// coordinator ends with the engine's sample.
+func TestOneFrameWindowMatchesSequentialEngine(t *testing.T) {
+	const (
+		s      = 16
+		window = 40
+	)
+	infinite, slid := hashing.NewMurmur2(7), hashing.NewMurmur2(9)
+	protocols := []struct {
+		name     string
+		elements []stream.Element
+		site     func() netsim.SiteNode
+		coord    func() netsim.CoordinatorNode
+		endSlots bool // EndSlot at each slot boundary
+	}{
+		{"infinite", dataset.Uniform(20000, 4000, 7).Generate(),
+			func() netsim.SiteNode { return core.NewInfiniteSite(0, infinite) },
+			func() netsim.CoordinatorNode { return core.NewInfiniteCoordinator(s) }, false},
+		{"sliding", stream.Reslot(dataset.Uniform(20000, 3000, 9).Generate(), 50),
+			func() netsim.SiteNode { return sliding.NewSite(0, slid, window, 1) },
+			func() netsim.CoordinatorNode { return sliding.NewCoordinator() }, true},
+	}
+	for _, p := range protocols {
+		arrivals := distribute.Apply(p.elements, distribute.NewRoundRobin(1))
+		runner := netsim.Runner{Sites: []netsim.SiteNode{p.site()}, Coordinator: p.coord()}
+		want, err := runner.RunSequential(arrivals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, codec := range []Codec{CodecJSON, CodecBinary} {
+			for _, win := range []int{0, 1} {
+				t.Run(fmt.Sprintf("%s/%s/window%d", p.name, codec, win), func(t *testing.T) {
+					srv, addr := startServer(t, p.coord())
+					client, err := DialSiteOptions(p.site(), addr, Options{Codec: codec, BatchSize: 1, Window: win})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, a := range arrivals {
+						if err := client.Observe(a.Key, a.Slot); err != nil {
+							t.Fatal(err)
+						}
+						if p.endSlots && (i+1 == len(arrivals) || arrivals[i+1].Slot != a.Slot) {
+							if err := client.EndSlot(a.Slot); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					if err := client.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if got := client.MessagesSent(); got != want.UpMessages {
+						t.Errorf("sent %d messages, the engine sent %d", got, want.UpMessages)
+					}
+					if got := client.MessagesReceived(); got != want.DownMessages {
+						t.Errorf("received %d messages, the engine delivered %d", got, want.DownMessages)
+					}
+					if got := srv.Sample(); !reflect.DeepEqual(got, want.FinalSample) {
+						t.Errorf("coordinator sample differs from the engine's:\n got: %v\nwant: %v", got, want.FinalSample)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestPipelinedAtLeast1_3xSyncBatched is the perf acceptance check of deep
+// credit windows, mirroring TestBatchedBinaryAtLeast3xJSON: streaming
+// batches of 64 offers with a window of DefaultWindow must beat the
+// one-frame window, the request/response dialogue, by at least 1.3x on
+// localhost. The two legs alternate over several rounds and their medians
+// are compared, so a burst of load from other processes during one leg
+// cannot decide the outcome on its own.
 func TestPipelinedAtLeast1_3xSyncBatched(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput measurement skipped in -short mode")
@@ -168,11 +240,17 @@ func TestPipelinedAtLeast1_3xSyncBatched(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation penalizes the mutex-heavy pipelined path; ratio only meaningful uninstrumented")
 	}
-	const n = 200000
-	syncOps := offerThroughput(t, n, Options{Codec: CodecBinary, BatchSize: 64})
-	pipeOps := offerThroughput(t, n, Options{Codec: CodecBinary, BatchSize: 64, Window: DefaultWindow})
-	t.Logf("sync binary batch=64: %.0f offers/s; pipelined window=%d: %.0f offers/s (%.2fx)",
-		syncOps, DefaultWindow, pipeOps, pipeOps/syncOps)
+	const n, batch, rounds = 200000, 64, 5
+	var syncRuns, pipeRuns []float64
+	for range rounds {
+		syncRuns = append(syncRuns, offerThroughput(t, n, Options{Codec: CodecBinary, BatchSize: batch}))
+		pipeRuns = append(pipeRuns, offerThroughput(t, n, Options{Codec: CodecBinary, BatchSize: batch, Window: DefaultWindow}))
+	}
+	slices.Sort(syncRuns)
+	slices.Sort(pipeRuns)
+	syncOps, pipeOps := syncRuns[rounds/2], pipeRuns[rounds/2]
+	t.Logf("sync binary batch=%d: %.0f offers/s; pipelined window=%d: %.0f offers/s (%.2fx, medians of %d rounds)",
+		batch, syncOps, DefaultWindow, pipeOps, pipeOps/syncOps, rounds)
 	if pipeOps < 1.3*syncOps {
 		t.Fatalf("pipelined %.0f offers/s is less than 1.3x sync batched %.0f offers/s", pipeOps, syncOps)
 	}

@@ -4,6 +4,6 @@ package wire
 
 // raceEnabled reports whether the race detector is instrumenting this test
 // binary. Throughput assertions are skipped under it: instrumentation slows
-// the lock- and condvar-heavy pipelined path far more than the synchronous
-// one, inverting ratios that hold on uninstrumented builds.
+// the lock and condvar traffic of a deep credit window far more than that of
+// a one-frame window, inverting ratios that hold on uninstrumented builds.
 const raceEnabled = true

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"net"
 	"sync"
 	"testing"
 
@@ -169,12 +170,20 @@ func TestReplyThinning(t *testing.T) {
 		thresholds = append(thresholds, netsim.Message{Kind: netsim.KindThreshold, U: hash, From: netsim.CoordinatorID})
 	}
 
-	client, err := DialSiteOptions(&floodSite{id: 0, hasher: hashing.NewMurmur2(1)}, addr, Options{Codec: CodecBinary})
+	// A raw site connection: a SiteClient's own reader would race this
+	// test for the replies frame.
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	c := client.fc
+	defer conn.Close()
+	c, err := clientConn(conn, CodecBinary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFlush(c, &Frame{Type: FrameHello, Site: 0}); err != nil {
+		t.Fatal(err)
+	}
 	if err := writeFlush(c, &Frame{Type: FrameBatch, Batch: batch}); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +299,7 @@ func TestMemConnEndToEnd(t *testing.T) {
 	errs := make(chan error, k)
 	clients := make([]*SiteClient, k)
 	for site := 0; site < k; site++ {
-		opts := Options{BatchSize: 1 << (site % 3), Window: site} // sync and pipelined mixes
+		opts := Options{BatchSize: 1 << (site % 3), Window: site} // one-frame and deeper windows
 		client, err := DialSiteMem(core.NewInfiniteSite(site, hasher), srv, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -179,7 +179,23 @@ func TestRouteFramesRequireRouteHash(t *testing.T) {
 // wire.ErrLeaseLapsed within one lease interval — so no offer is ever
 // acknowledged by a primary the group has moved past, and the site replays
 // the refused offers to the promoted replica with nothing lost.
+//
+// It runs at several batch sizes and windows: however many frames are in
+// flight when the fence fires, every later call still hands its arrival to
+// the site node and leaves the node's offers in Unacked.
 func TestPartitionDeposedPrimaryIsFenced(t *testing.T) {
+	for _, opts := range []Options{
+		{BatchSize: 4},
+		{BatchSize: 1, Window: 2},
+		{BatchSize: 4, Window: 4},
+	} {
+		t.Run(fmt.Sprintf("batch%d-window%d", opts.BatchSize, opts.Window), func(t *testing.T) {
+			testPartitionDeposedPrimaryIsFenced(t, opts)
+		})
+	}
+}
+
+func testPartitionDeposedPrimaryIsFenced(t *testing.T, opts Options) {
 	const (
 		s     = 8
 		lease = 150 * time.Millisecond
@@ -201,7 +217,7 @@ func TestPartitionDeposedPrimaryIsFenced(t *testing.T) {
 	}
 
 	site := core.NewInfiniteSite(0, hasher)
-	client, err := DialSiteMem(site, primary, Options{BatchSize: 4})
+	client, err := DialSiteMem(site, primary, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +300,7 @@ func TestPartitionDeposedPrimaryIsFenced(t *testing.T) {
 	if len(unacked) == 0 {
 		t.Fatal("no unacked offers to replay; the fence should have refused them, not swallowed them")
 	}
-	healed, err := DialSiteMem(site, replica, Options{BatchSize: 4})
+	healed, err := DialSiteMem(site, replica, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

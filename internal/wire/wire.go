@@ -5,41 +5,37 @@
 // The protocol nodes themselves are reused unchanged (anything implementing
 // netsim.SiteNode / netsim.CoordinatorNode); this package only supplies the
 // transport: framed messages over a long-lived TCP connection per site, a
-// request/response exchange per offer or per batch of offers (mirroring
-// Algorithm 1/2's site-initiated dialogue), and a query frame that returns
-// the coordinator's current sample. Algorithms that broadcast (Algorithm
-// Broadcast) are not supported over this transport, matching the concurrent
-// engine's contract.
+// site-initiated dialogue of sequence-numbered "batch" frames answered by
+// "replies" frames (Algorithm 1/2's dialogue), and a query frame that
+// returns the coordinator's current sample. Algorithms that broadcast
+// (Algorithm Broadcast) are not supported over this transport, matching the
+// concurrent engine's contract.
 //
 // Two codecs are negotiated per connection (see Codec in codec.go):
 //
 //   - CodecJSON, the original human-readable format — one JSON object per
 //     line:
 //
-//     {"type":"offer","msg":{...}}            site -> coordinator
-//     {"type":"replies","msgs":[{...},...]}   coordinator -> site
-//     {"type":"query"}                        any client -> coordinator
-//     {"type":"sample","entries":[...]}       coordinator -> querying client
+//     {"type":"batch","seq":3,"batch":[{"msg":{...}},...]}   site -> coordinator
+//     {"type":"replies","seq":3,"msgs":[{...},...]}           coordinator -> site
+//     {"type":"query"}                                        any client -> coordinator
+//     {"type":"sample","entries":[...]}                       coordinator -> querying client
 //
 //   - CodecBinary, a length-prefixed binary format for high-throughput
 //     ingest. A binary connection opens with a 4-byte magic; every frame is
 //     a uint32 length followed by a compact tagged payload.
 //
-// Independently of the codec, sites may batch: a "batch" frame carries N
-// offers and is answered by one "replies" frame covering all of them, so
-// syscalls and encoding overhead amortize over the batch (with identical
-// consecutive replies coalesced — every coordinator-to-site message is an
-// idempotent state refresh, so repeating it within one frame is pure
-// overhead). Batching delays a site's view of the coordinator threshold by
-// at most one batch, which can only cause extra offers, never missed ones —
-// the coordinator's sample is unaffected (the same argument that covers the
-// concurrent engine's races).
-//
-// On top of batching, sites may pipeline (Options.Window > 1): batch frames
-// carry sequence numbers, up to Window of them stream before their replies
-// frames come back (cumulative acks), and a dedicated reader goroutine per
-// connection applies replies as they arrive. See Options.Window and the
-// README's pipelined-ingest section.
+// A batch frame carries up to Options.BatchSize offers and is answered by
+// one replies frame covering all of them, so syscalls and encoding overhead
+// amortize over the batch (with identical consecutive replies coalesced —
+// every coordinator-to-site message is an idempotent state refresh, so
+// repeating it within one frame is pure overhead). Up to Options.Window
+// batch frames stream before their replies frames come back (cumulative
+// acks); a one-frame window is the request/response dialogue. Batching and
+// deeper windows delay a site's view of the coordinator threshold, which can
+// only cause extra offers, never missed ones — the coordinator's sample is
+// unaffected (the same argument that covers the concurrent engine's races).
+// See Options.Window and the README's ingest-transport section.
 //
 // Replication rides the same transport: a primary coordinator pushes its
 // full state — one encoded core.State — to warm replicas as "state-frame"
@@ -77,11 +73,10 @@ type Frame struct {
 	Type string `json:"type"`
 	Site int    `json:"site,omitempty"`
 	Slot int64  `json:"slot,omitempty"`
-	// Seq is the batch sequence number of pipelined ingest: each batch frame
-	// carries the site's next sequence number and the coordinator echoes it
-	// on the covering replies frame, so a site streaming several batches
-	// without waiting can match replies to batches and detect reordering.
-	// Synchronous clients leave it zero.
+	// Seq is the batch sequence number of ingest: each batch frame carries
+	// the site's next sequence number and the coordinator echoes it on the
+	// covering replies frame, so a site streaming several batches without
+	// waiting can match replies to batches and detect reordering.
 	Seq uint64 `json:"seq,omitempty"`
 	// Epoch is the replication fencing number. Promote frames carry the epoch
 	// the sender wants the receiver to assume; state-frame pushes are stamped
@@ -115,7 +110,6 @@ type Frame struct {
 	Bounds  []uint64             `json:"bounds,omitempty"`
 	Slots   []int64              `json:"slots,omitempty"`
 	Groups  [][]string           `json:"groups,omitempty"`
-	Msg     *netsim.Message      `json:"msg,omitempty"`
 	Msgs    []netsim.Message     `json:"msgs,omitempty"`
 	Batch   []BatchEntry         `json:"batch,omitempty"`
 	Entries []netsim.SampleEntry `json:"entries,omitempty"`
@@ -151,9 +145,8 @@ func (f *Frame) SetTrace(tc obs.TraceContext) {
 // Frame types.
 const (
 	FrameHello   = "hello"   // site -> coordinator: announce site id
-	FrameOffer   = "offer"   // site -> coordinator: one protocol message
-	FrameBatch   = "batch"   // site -> coordinator: many protocol messages
-	FrameReplies = "replies" // coordinator -> site: the replies to one offer/batch
+	FrameBatch   = "batch"   // site -> coordinator: protocol messages
+	FrameReplies = "replies" // coordinator -> site: the replies to one batch
 	FrameQuery   = "query"   // client -> coordinator: request the sample
 	FrameSample  = "sample"  // coordinator -> client: the current sample
 	FrameError   = "error"   // coordinator -> client: protocol violation
@@ -517,7 +510,7 @@ func (s *CoordinatorServer) acceptLoop() {
 }
 
 // writeFlush writes one frame and pushes it to the wire immediately — the
-// synchronous request/response paths, where the peer is waiting for it.
+// request/response paths, where the peer is waiting for it.
 func writeFlush(fc frameConn, f *Frame) error {
 	if err := fc.WriteFrame(f); err != nil {
 		return err
@@ -546,12 +539,11 @@ func (s *CoordinatorServer) handle(conn net.Conn) {
 // must unblock a pending ReadFrame.
 //
 // Each connection runs two goroutines: a read pump that decodes frames and a
-// dispatch loop (this function) that runs the coordinator and writes
-// replies. Decoding frame N+1 thus overlaps dispatching frame N — for
-// pipelined sites streaming batches, decode would otherwise serialize with
-// the coordinator's work and cap ingest. A small fixed ring of Frame buffers
-// circulates between the two goroutines, preserving order and reusing
-// decoded slice capacity.
+// dispatch loop (this function) that runs the coordinator and writes replies.
+// Decoding frame N+1 thus overlaps dispatching frame N — for sites streaming
+// batches, decode would otherwise serialize with the coordinator's work and
+// cap ingest. A small fixed ring of Frame buffers circulates between the two
+// goroutines, preserving order and reusing decoded slice capacity.
 func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 	siteID := -1
 
@@ -612,14 +604,14 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 		replies []netsim.Message
 		out     netsim.Outbox
 	)
-	// Replies frames carry cumulative acks: Seq s acknowledges every batch
-	// up to and including s. When a pipelined client is running ahead (more
-	// input already buffered) and a batch produced no replies, the ack is
-	// deferred and folded into the next one, so a quiet ingest stream costs
-	// the coordinator roughly one reply frame per drained window instead of
-	// one per batch. ackDeferred/deferredSeq track the deferral; any
-	// non-batch frame forces the pending ack out first to preserve ordering
-	// for clients that interleave.
+	// Replies frames carry cumulative acks: Seq s acknowledges every batch up
+	// to and including s. When a client is running ahead (more input already
+	// buffered) and a batch produced no replies, the ack is deferred and
+	// folded into the next one, so a quiet ingest stream costs the
+	// coordinator roughly one reply frame per drained window instead of one
+	// per batch. ackDeferred/deferredSeq track the deferral; any non-batch
+	// frame forces the pending ack out first to preserve ordering for clients
+	// that interleave.
 	ackDeferred := false
 	var deferredSeq uint64
 	flushAck := func() error {
@@ -663,36 +655,6 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			if err := fc.Flush(); err != nil {
 				return
 			}
-		case FrameOffer:
-			if f.Msg == nil || siteID < 0 {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "offer before hello or missing msg"})
-				return
-			}
-			s.mu.Lock()
-			nack, lapsed := s.leaseFenceLocked()
-			if nack == "" {
-				nack = s.routeFenceLocked(f.Msg.Key)
-			}
-			s.mu.Unlock()
-			if nack != "" {
-				leaseFenceObs(lapsed, nack)
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: nack})
-				return
-			}
-			msg := *f.Msg
-			msg.From = siteID
-			replies, err = s.dispatch(msg, f.Slot, siteID, &out, replies[:0])
-			if err != nil {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: err.Error()})
-				return
-			}
-			if err := flushAck(); err != nil {
-				return
-			}
-			resp = Frame{Type: FrameReplies, Msgs: replies}
-			if err := writeFlush(fc, &resp); err != nil {
-				return
-			}
 		case FrameBatch:
 			if siteID < 0 {
 				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "batch before hello"})
@@ -719,7 +681,8 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			// cleanly. The lease check is one comparison; the per-key range
 			// check only runs once strict routing is armed.
 			nack, lapsed := s.leaseFenceLocked()
-			if nack == "" && s.routeStrict {
+			leaseFenced := nack != ""
+			if !leaseFenced && s.routeStrict {
 				for i := range f.Batch {
 					if nack = s.routeFenceLocked(f.Batch[i].Msg.Key); nack != "" {
 						break
@@ -728,7 +691,7 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			}
 			if nack != "" {
 				s.mu.Unlock()
-				leaseFenceObs(lapsed, nack)
+				batchFenceObs(leaseFenced, lapsed, nack)
 				_ = writeFlush(fc, &Frame{Type: FrameError, Error: nack})
 				return
 			}
@@ -763,7 +726,7 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 				continue
 			}
 			// Echo the batch's sequence number; this frame cumulatively acks
-			// any deferred batches before it (zero for synchronous sites).
+			// any deferred batches before it.
 			ackDeferred = false
 			resp = Frame{Type: FrameReplies, Seq: f.Seq, Msgs: replies}
 			if tc.Sampled() {
@@ -1039,15 +1002,9 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 	}
 }
 
-// dispatch runs the coordinator node on one message and appends the replies
-// addressed to the sending site onto replies, reusing the caller's outbox.
-func (s *CoordinatorServer) dispatch(msg netsim.Message, slot int64, siteID int, out *netsim.Outbox, replies []netsim.Message) ([]netsim.Message, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dispatchLocked(msg, slot, siteID, out, replies)
-}
-
-// dispatchLocked is dispatch for callers already holding s.mu.
+// dispatchLocked runs the coordinator node on one message and appends the
+// replies addressed to the sending site onto replies, reusing the caller's
+// outbox. Callers hold s.mu.
 //
 // Replies within one replies frame are thinned before encode:
 //
@@ -1110,29 +1067,29 @@ type Options struct {
 	// Codec selects the wire encoding. The default CodecJSON matches legacy
 	// coordinators; CodecBinary is the high-throughput encoding.
 	Codec Codec
-	// BatchSize > 1 buffers up to that many coordinator-bound messages and
-	// ships them in one batch frame, answered by one replies frame. 0 or 1
-	// keeps the original one-request-per-offer dialogue. EndSlot and Close
+	// BatchSize is the most coordinator-bound messages one batch frame
+	// carries; 0 or 1 ships every offer in its own frame. EndSlot and Close
 	// always flush the buffer, so batching never holds a message past a slot
 	// boundary.
 	BatchSize int
-	// Window > 1 enables pipelined ingest: up to Window batch frames may be
-	// in flight before their replies frames have come back, with a dedicated
-	// reader goroutine matching replies to batches by sequence number and
-	// queuing them for the caller's goroutine, which feeds them into the site
-	// node at its next call. The window is a credit scheme — a full window
-	// blocks the writer, bounding memory — and Flush/EndSlot/Close drain it
-	// completely, so slot boundaries and shutdown stay exact. 0 or 1 keeps
-	// the synchronous request/response dialogue. DefaultWindow is a good
-	// starting point on localhost; see the README for tuning guidance.
+	// Window is the credit window: up to Window batch frames may be in
+	// flight before their replies frames have come back. A reader goroutine
+	// matches replies to batches by sequence number and queues them for the
+	// caller's goroutine, which feeds them into the site node at its next
+	// call. A full window blocks the writer, bounding memory, and
+	// Flush/EndSlot/Close drain it completely, so slot boundaries and
+	// shutdown stay exact. 0 or 1 keeps one frame in flight: each frame is
+	// flushed and acknowledged before the next ships, which is the
+	// request/response dialogue. DefaultWindow is a good starting point on
+	// localhost; see the README for tuning guidance.
 	Window int
 	// OnRoutePush, when set, receives server-initiated route-push frames: the
 	// coordinator broadcasting a new routing table mid-reshard so connected
 	// sites flip live instead of discovering the move on their next NACK. The
-	// frame is a deep copy the callback may retain. It is invoked from
-	// whichever goroutine reads the connection (the caller's in synchronous
-	// mode, the pipeline reader otherwise), so implementations must be quick
-	// and must not call back into the SiteClient.
+	// frame is a deep copy the callback may retain. It is invoked from the
+	// connection's reader goroutine as soon as the push arrives, so
+	// implementations must be quick and must not call back into the
+	// SiteClient.
 	OnRoutePush func(*Frame)
 	// RetryMax and RetryBase set the recovery policy of the failover layers
 	// built on this transport (cluster.SiteClient, dds.Open): at most
@@ -1153,25 +1110,25 @@ const (
 	DefaultRetryBase = 5 * time.Millisecond
 )
 
-// DefaultWindow is the pipeline depth used by callers that enable pipelining
-// without choosing a width: deep enough to hide a localhost round trip
-// behind encoding, shallow enough that a stalled coordinator blocks the
-// writer after a few batches.
+// DefaultWindow is the credit window used by callers that pipeline without
+// choosing a width: deep enough to hide a localhost round trip behind
+// encoding, shallow enough that a stalled coordinator blocks the writer after
+// a few batches.
 const DefaultWindow = 8
 
 // SiteClient connects one site node to a remote coordinator.
 //
 // A SiteClient is not safe for concurrent use: Observe/EndSlot/Flush/Close
 // must be called from one goroutine (or externally serialized), exactly like
-// the site node it wraps. In pipelined mode the client owns one additional
-// internal reader goroutine, which never touches the site node: it queues
-// the coordinator's replies, and the caller's goroutine applies them at its
-// next call. mu guards only the state the reader shares with the caller.
+// the site node it wraps. The client owns one internal reader goroutine,
+// which never touches the site node: it queues the coordinator's replies,
+// and the caller's goroutine applies them at its next call. mu guards only
+// the state the reader shares with the caller.
 type SiteClient struct {
 	node netsim.SiteNode
 	conn io.Closer
 	fc   frameConn
-	opts Options
+	opts Options // BatchSize and Window at least 1
 
 	dnode netsim.DigestSite // node's digest entry point; nil when it has none
 
@@ -1185,16 +1142,16 @@ type SiteClient struct {
 
 	scratch netsim.Outbox // reusable outbox for node callbacks
 	wframe  Frame         // reusable frame for writes
-	rframe  Frame         // reusable frame for reads (sync mode)
 
-	pipe *pipeline // non-nil when Options.Window > 1
+	pipe pipeline
 
 	sent     int
 	received int
 }
 
 // DialSite connects the given site node to the coordinator at addr with the
-// default options (JSON codec, no batching) and announces its site id.
+// default options (JSON codec, one offer per frame, one frame in flight) and
+// announces its site id.
 func DialSite(node netsim.SiteNode, addr string) (*SiteClient, error) {
 	return DialSiteOptions(node, addr, Options{})
 }
@@ -1211,15 +1168,22 @@ func DialSiteOptions(node netsim.SiteNode, addr string, opts Options) (*SiteClie
 		conn.Close()
 		return nil, err
 	}
-	c := &SiteClient{node: node, conn: conn, fc: fc, opts: opts}
-	c.dnode, _ = node.(netsim.DigestSite)
-	if err := writeFlush(c.fc, &Frame{Type: FrameHello, Site: node.ID()}); err != nil {
+	return newSiteClient(node, conn, fc, opts)
+}
+
+// newSiteClient announces node's site id on a fresh connection, whose
+// transport conn closes, and starts the client's reply reader.
+func newSiteClient(node netsim.SiteNode, conn io.Closer, fc frameConn, opts Options) (*SiteClient, error) {
+	if err := writeFlush(fc, &Frame{Type: FrameHello, Site: node.ID()}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: hello: %w", err)
 	}
-	if opts.Window > 1 {
-		c.startPipeline()
-	}
+	opts.BatchSize, opts.Window = max(1, opts.BatchSize), max(1, opts.Window)
+	c := &SiteClient{node: node, conn: conn, fc: fc, opts: opts}
+	c.dnode, _ = node.(netsim.DigestSite)
+	c.pipe.cond = sync.NewCond(&c.mu)
+	c.pipe.done = make(chan struct{})
+	go c.readLoop()
 	return c, nil
 }
 
@@ -1234,21 +1198,19 @@ func clientConn(conn net.Conn, codec Codec) (frameConn, error) {
 }
 
 // Abort closes the underlying transport immediately, without flushing
-// buffered offers or draining the pipeline. Buffered and in-flight offers
-// stay retained for Unacked. The next operation fails as a connection error
-// — this simulates (or reacts to) a network-level reset.
+// buffered offers or draining the window. Buffered and in-flight offers stay
+// retained for Unacked. The next operation fails as a connection error —
+// this simulates (or reacts to) a network-level reset.
 func (c *SiteClient) Abort() error {
 	return c.conn.Close()
 }
 
-// Close flushes any buffered offers, drains the pipeline window, and closes
-// the connection to the coordinator.
+// Close flushes any buffered offers, drains the window, and closes the
+// connection to the coordinator.
 func (c *SiteClient) Close() error {
 	flushErr := c.Flush()
 	closeErr := c.conn.Close()
-	if c.pipe != nil {
-		<-c.pipe.done // reader exits once the connection is closed
-	}
+	<-c.pipe.done // the reader exits once the connection is closed
 	if flushErr != nil {
 		return flushErr
 	}
@@ -1275,27 +1237,24 @@ func (c *SiteClient) MessagesReceived() int {
 func (c *SiteClient) Node() netsim.SiteNode { return c.node }
 
 // Unacked returns a copy of every offer this client accepted but cannot
-// prove the coordinator applied: shipped-but-unacknowledged pipelined
-// batches (oldest first) followed by buffered pending offers. After a
-// connection failure the caller replays these to the promoted replica.
-// Replaying is always safe: offers are idempotent refreshes of a bottom-s
-// sketch, so re-delivering an offer the dead primary did apply (and whose
-// effect survived via a state push) changes nothing, while dropping an
-// unapplied one could lose sample entries.
+// prove the coordinator applied: shipped-but-unacknowledged batches (oldest
+// first) followed by buffered pending offers. After a connection failure the
+// caller replays these to the promoted replica. Replaying is always safe:
+// offers are idempotent refreshes of a bottom-s sketch, so re-delivering an
+// offer the dead primary did apply (and whose effect survived via a state
+// push) changes nothing, while dropping an unapplied one could lose sample
+// entries.
 //
-// In pipelined mode it first applies the replies still queued for the site
-// node, so the node handed on to a new connection has seen every reply this
-// one received.
+// It first applies the replies still queued for the site node, so the node
+// handed on to a new connection has seen every reply this one received.
 func (c *SiteClient) Unacked() []BatchEntry {
+	_ = c.applyReplies() // the sticky error is the caller's reason to be here
 	var out []BatchEntry
-	if c.pipe != nil {
-		_ = c.applyReplies() // the sticky error is the caller's reason to be here
-		c.mu.Lock()
-		for _, b := range c.pipe.unacked {
-			out = append(out, b...)
-		}
-		c.mu.Unlock()
+	c.mu.Lock()
+	for _, b := range c.pipe.unacked {
+		out = append(out, b...)
 	}
+	c.mu.Unlock()
 	return append(out, c.pending...)
 }
 
@@ -1310,9 +1269,10 @@ func (c *SiteClient) Replay(entries []BatchEntry) error {
 	return c.Flush()
 }
 
-// Observe feeds one element observation to the local site node and performs
-// whatever exchanges with the coordinator the protocol requires (possibly
-// deferred, when batching or pipelining is enabled).
+// Observe feeds one element observation to the local site node and ships
+// the node's offers once they fill a batch frame, returning when the window
+// has a free credit again: with a one-frame window, after the coordinator
+// has answered the frame.
 func (c *SiteClient) Observe(key string, slot int64) error {
 	return c.observe(key, 0, false, slot)
 }
@@ -1327,14 +1287,28 @@ func (c *SiteClient) ObserveDigest(key string, d uint64, slot int64) error {
 }
 
 // observe is Observe and ObserveDigest: digested says that d is to feed the
-// node's digest entry point.
+// node's digest entry point. It applies any queued replies, runs the node,
+// buffers its messages, and ships a full batch without waiting for replies
+// beyond the window. It takes mu only when replies are queued, when the
+// connection has failed, or when a batch ships. On a failed connection the
+// node still sees the arrival and its offers wait in Unacked before the
+// error returns, as they would had the failure struck while shipping them.
 func (c *SiteClient) observe(key string, d uint64, digested bool, slot int64) error {
-	if c.pipe != nil {
-		return c.pipeObserve(key, d, digested, slot)
+	var err error
+	if c.pipe.ready.Load() {
+		err = c.applyReplies()
 	}
 	c.scratch.Reset()
 	c.arrive(key, d, digested, slot)
-	return c.flush(&c.scratch, slot)
+	if len(c.scratch.Envelopes()) > 0 {
+		if berr := c.buffer(slot); berr != nil {
+			return berr
+		}
+	}
+	if err != nil || len(c.pending) < c.opts.BatchSize {
+		return err
+	}
+	return c.ship(false)
 }
 
 // arrive hands one arrival to the node, through its digest entry point when
@@ -1349,83 +1323,45 @@ func (c *SiteClient) arrive(key string, d uint64, digested bool, slot int64) {
 }
 
 // EndSlot signals the end of a time slot to the local site node (needed by
-// the sliding-window protocol for expiry-driven promotions) and flushes any
-// batched offers so nothing crosses the slot boundary unsent. In pipelined
-// mode it also drains the window, keeping slot boundaries exact.
+// the sliding-window protocol for expiry-driven promotions), then ships
+// every buffered offer and drains the window so nothing crosses the slot
+// boundary unacknowledged. Like Observe, it runs the node even on a failed
+// connection, leaving its offers to Unacked.
 func (c *SiteClient) EndSlot(slot int64) error {
-	if c.pipe != nil {
-		return c.pipeEndSlot(slot)
-	}
+	err := c.applyReplies()
 	c.scratch.Reset()
 	c.node.OnSlotEnd(slot, &c.scratch)
-	if err := c.flush(&c.scratch, slot); err != nil {
+	if berr := c.buffer(slot); berr != nil {
+		return berr
+	}
+	if err != nil {
 		return err
 	}
 	return c.Flush()
 }
 
-// flush routes every queued coordinator-bound message: in unbatched mode it
-// ships each message and processes the replies immediately; in batched mode
-// it buffers and ships full batches only. The outbox is reset on return.
-func (c *SiteClient) flush(out *netsim.Outbox, slot int64) error {
-	if c.opts.BatchSize > 1 {
-		for _, env := range out.Envelopes() {
-			if env.Broadcast || env.To != netsim.CoordinatorID {
-				return errors.New("wire: site nodes may only message the coordinator")
-			}
-			c.noteBatchStart()
-			c.pending = append(c.pending, BatchEntry{Slot: slot, Msg: env.Msg})
-		}
-		out.Reset()
-		if len(c.pending) >= c.opts.BatchSize {
-			return c.sendPending(slot)
-		}
-		return nil
-	}
-	queue := append([]netsim.Envelope(nil), out.Envelopes()...)
-	out.Reset()
-	for len(queue) > 0 {
-		env := queue[0]
-		queue = queue[1:]
-		if env.Broadcast || env.To != netsim.CoordinatorID {
-			return errors.New("wire: site nodes may only message the coordinator")
-		}
-		c.wframe = Frame{Type: FrameOffer, Slot: slot, Msg: &env.Msg}
-		if err := writeFlush(c.fc, &c.wframe); err != nil {
-			c.stash(slot, env, queue)
-			return fmt.Errorf("wire: send offer: %w", err)
-		}
-		c.sent++
-		replies, err := c.readReplies()
-		if err != nil {
-			c.stash(slot, env, queue)
-			return err
-		}
-		for _, reply := range replies {
-			out.Reset()
-			c.node.OnMessage(reply, slot, out)
-			queue = append(queue, out.Envelopes()...)
-			out.Reset()
-		}
-	}
-	return nil
-}
-
-// Flush ships every buffered offer and feeds the replies back into the site
-// node, repeating until the site has nothing more to say; in pipelined mode
-// it additionally waits until every in-flight batch has been acknowledged.
-// It is a no-op in synchronous unbatched mode.
+// Flush ships everything buffered and waits until the window is fully
+// drained, then applies the queued replies, looping while they generate new
+// offers. On return either every offer the site ever emitted has been
+// acknowledged by the coordinator and its replies applied, or an error is
+// reported.
 func (c *SiteClient) Flush() error {
-	if c.pipe != nil {
-		return c.pipeFlush()
-	}
-	for len(c.pending) > 0 {
-		lastSlot := c.pending[len(c.pending)-1].Slot
-		if err := c.sendPending(lastSlot); err != nil {
+	for {
+		if err := c.ship(true); err != nil {
 			return err
 		}
+		c.mu.Lock()
+		for c.pipe.inflight() > 0 && c.pipe.err == nil {
+			c.pipe.cond.Wait()
+		}
+		c.mu.Unlock()
+		if err := c.applyReplies(); err != nil {
+			return err
+		}
+		if len(c.pending) == 0 {
+			return nil
+		}
 	}
-	return nil
 }
 
 // noteBatchStart stamps the assembly start of the pending buffer's current
@@ -1434,95 +1370,6 @@ func (c *SiteClient) Flush() error {
 func (c *SiteClient) noteBatchStart() {
 	if c.batchStartNs == 0 && obs.TracingEnabled() {
 		c.batchStartNs = nowNanos()
-	}
-}
-
-// sendPending ships the current buffer as one batch frame and applies the
-// replies. Messages the site emits in response are buffered for the next
-// batch (Flush loops until quiescence).
-//
-// The trace decision happens here, at ship time: a sampled batch records its
-// assembly window (site_batch), the transport write (site_write), and the
-// wait for the coordinator's replies (site_ack), and the frame carries the
-// context so the coordinator's stages join the same trace.
-func (c *SiteClient) sendPending(slot int64) error {
-	batch := c.pending
-	c.pending = c.pending[len(c.pending):]
-	if len(batch) == 0 {
-		return nil
-	}
-	tc := obs.StartTrace()
-	var stageT int64
-	if tc.Sampled() {
-		now := nowNanos()
-		if c.batchStartNs != 0 {
-			obs.StageSpan(tc, obs.StageSiteBatch, c.batchStartNs, now)
-		}
-		stageT = now
-	}
-	c.batchStartNs = 0
-	c.wframe = Frame{Type: FrameBatch, Batch: batch}
-	c.wframe.SetTrace(tc)
-	if err := writeFlush(c.fc, &c.wframe); err != nil {
-		c.pending = batch // retained for failover replay
-		return fmt.Errorf("wire: send batch: %w", err)
-	}
-	c.sent += len(batch)
-	obsBatchSize.Observe(int64(len(batch)))
-	if tc.Sampled() {
-		now := nowNanos()
-		obs.StageSpan(tc, obs.StageSiteWrite, stageT, now)
-		stageT = now
-	}
-	replies, err := c.readReplies()
-	if err != nil {
-		c.pending = batch // the batch may or may not have applied; replay is idempotent
-		return err
-	}
-	if tc.Sampled() {
-		obs.StageSpan(tc, obs.StageSiteAck, stageT, nowNanos())
-	}
-	for _, reply := range replies {
-		c.scratch.Reset()
-		c.node.OnMessage(reply, slot, &c.scratch)
-		if err := c.buffer(slot); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// stash preserves coordinator-bound messages a failed synchronous exchange
-// could not confirm (the current envelope plus everything still queued) in
-// the pending buffer, where Unacked picks them up for failover replay.
-func (c *SiteClient) stash(slot int64, env netsim.Envelope, rest []netsim.Envelope) {
-	c.pending = append(c.pending, BatchEntry{Slot: slot, Msg: env.Msg})
-	for _, e := range rest {
-		c.pending = append(c.pending, BatchEntry{Slot: slot, Msg: e.Msg})
-	}
-}
-
-// readReplies reads one replies frame, surfacing protocol errors as typed
-// coordinator errors (lease and route fences keep their sentinels across the
-// wire). Server-initiated route-push frames interleaved before the reply are
-// handed to Options.OnRoutePush and skipped. The returned slice is only
-// valid until the next read (it aliases the client's reusable read frame).
-func (c *SiteClient) readReplies() ([]netsim.Message, error) {
-	for {
-		if err := c.fc.ReadFrame(&c.rframe); err != nil {
-			return nil, fmt.Errorf("wire: read replies: %w", err)
-		}
-		switch c.rframe.Type {
-		case FrameReplies:
-			c.received += len(c.rframe.Msgs)
-			return c.rframe.Msgs, nil
-		case FrameRoutePush:
-			c.routePush(&c.rframe)
-		case FrameError:
-			return nil, coordError(c.rframe.Error)
-		default:
-			return nil, errors.New("wire: unexpected frame " + c.rframe.Type)
-		}
 	}
 }
 

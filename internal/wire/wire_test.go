@@ -210,8 +210,8 @@ func TestTCPProtocolErrors(t *testing.T) {
 		return last
 	}
 
-	// Offer before hello.
-	resp := send(Frame{Type: FrameOffer, Msg: &netsim.Message{Kind: netsim.KindOffer, Key: "x", Hash: 0.5}})
+	// Batch before hello.
+	resp := send(Frame{Type: FrameBatch, Batch: []BatchEntry{{Msg: netsim.Message{Kind: netsim.KindOffer, Key: "x", Hash: 0.5}}}})
 	if resp.Type != FrameError {
 		t.Fatalf("expected error frame, got %+v", resp)
 	}
