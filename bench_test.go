@@ -26,7 +26,6 @@ import (
 	"repro/internal/sliding"
 	"repro/internal/stream"
 	"repro/internal/treap"
-	"repro/internal/wire"
 )
 
 // benchConfig is the experiment configuration used by the per-figure
@@ -231,34 +230,32 @@ func BenchmarkInfiniteSamplerConcurrent(b *testing.B) {
 }
 
 // BenchmarkClusterIngest measures real TCP ingest into the sharded cluster
-// subsystem across the transport matrix: the JSON-per-offer baseline versus
-// the batched binary codec, one frame versus a deeper window in flight, at 1
-// shard and at 4 shards. Each iteration replays the full synthetic stream
-// through concurrent site clients and cross-checks the merged sample against
-// the centralized reference. The flood cases put one offer per element on the
+// subsystem across the transport matrix: one offer per frame versus batches
+// of 64, one frame versus a deeper window in flight, at 1 shard and at 4
+// shards. Each iteration replays the full synthetic stream through
+// concurrent site clients and cross-checks the merged sample against the
+// centralized reference. The flood cases put one offer per element on the
 // wire (transport-bound); the rest run the protocol's own offer filter.
 func BenchmarkClusterIngest(b *testing.B) {
 	cases := []struct {
 		name   string
 		shards int
-		codec  wire.Codec
 		batch  int
 		window int
 		flood  bool
 	}{
-		{"shards1-json-per-offer", 1, wire.CodecJSON, 1, 0, false},
-		{"shards1-binary-batch64", 1, wire.CodecBinary, 64, 0, false},
-		{"shards4-json-per-offer", 4, wire.CodecJSON, 1, 0, false},
-		{"shards4-binary-batch64", 4, wire.CodecBinary, 64, 0, false},
-		{"shards4-binary-batch64-win8", 4, wire.CodecBinary, 64, 8, false},
-		{"shards4-flood-sync", 4, wire.CodecBinary, 64, 0, true},
-		{"shards4-flood-win8", 4, wire.CodecBinary, 64, 8, true},
+		{"shards1-binary-per-offer", 1, 1, 0, false},
+		{"shards1-binary-batch64", 1, 64, 0, false},
+		{"shards4-binary-per-offer", 4, 1, 0, false},
+		{"shards4-binary-batch64", 4, 64, 0, false},
+		{"shards4-binary-batch64-win8", 4, 64, 8, false},
+		{"shards4-flood-sync", 4, 64, 0, true},
+		{"shards4-flood-win8", 4, 64, 8, true},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			cfg := cluster.DefaultBenchConfig()
 			cfg.Shards = c.shards
-			cfg.Codec = c.codec
 			cfg.Batch = c.batch
 			cfg.Window = c.window
 			cfg.Flood = c.flood

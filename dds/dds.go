@@ -50,17 +50,13 @@ const DefaultSeed = 20130501
 // DefaultSampleSize is the sample size used when Config.SampleSize is zero.
 const DefaultSampleSize = 20
 
-// Codec names a wire encoding.
+// Codec names a wire encoding. CodecBinary is the only one; the type and
+// WithCodec stay so that callers naming it keep compiling.
 type Codec string
 
-// Supported wire codecs.
-const (
-	// CodecJSON is the human-readable newline-delimited JSON encoding.
-	CodecJSON Codec = "json"
-	// CodecBinary is the length-prefixed binary encoding — the
-	// high-throughput choice, and the default.
-	CodecBinary Codec = "binary"
-)
+// CodecBinary is the length-prefixed binary encoding, the only one and the
+// default.
+const CodecBinary Codec = "binary"
 
 // ErrDeposed reports an epoch fence: the coordinator a state push or sync
 // targeted has been promoted past the sender's epoch, so the sender is (or
@@ -140,7 +136,8 @@ type Config struct {
 // Query, and Serve.
 type Option func(*Config)
 
-// WithCodec selects the wire encoding (default CodecBinary).
+// WithCodec selects the wire encoding. CodecBinary is the only one, and any
+// other name fails Open, Query and Serve.
 func WithCodec(c Codec) Option { return func(cfg *Config) { cfg.codec = c } }
 
 // WithWindow switches the deployment to the sliding-window protocol: the
@@ -350,6 +347,8 @@ func (cfg Config) normalize(opts []Option) (Config, error) {
 		}
 	}
 	switch {
+	case cfg.codec != CodecBinary:
+		return cfg, fmt.Errorf("dds: unknown codec %q (want %q)", cfg.codec, CodecBinary)
 	case cfg.SampleSize < 1:
 		return cfg, fmt.Errorf("dds: sample size %d must be at least 1", cfg.SampleSize)
 	case cfg.window < 0:
@@ -387,20 +386,11 @@ func (cfg Config) normalize(opts []Option) (Config, error) {
 	case cfg.autoReshard && (cfg.watchCooldown < 0 || cfg.watchInterval < 0):
 		return cfg, fmt.Errorf("dds: autoreshard cooldown %v and interval %v must not be negative", cfg.watchCooldown, cfg.watchInterval)
 	}
-	if _, err := wire.ParseCodec(string(cfg.codec)); err != nil {
-		return cfg, fmt.Errorf("dds: unknown codec %q (want %q or %q)", cfg.codec, CodecJSON, CodecBinary)
-	}
 	return cfg, nil
-}
-
-func (cfg *Config) wireCodec() wire.Codec {
-	c, _ := wire.ParseCodec(string(cfg.codec))
-	return c
 }
 
 func (cfg *Config) wireOptions() wire.Options {
 	return wire.Options{
-		Codec:     cfg.wireCodec(),
 		BatchSize: cfg.batch,
 		Window:    cfg.pipeline,
 		RetryMax:  cfg.retryMax,
@@ -541,19 +531,7 @@ var errClosed = fmt.Errorf("dds: client is closed: %w", net.ErrClosed)
 // cannot hide live candidates behind an expired minimum). Queries follow
 // reshards: they target the groups the client currently routes to.
 func (c *Client) Query(ctx context.Context) (Sample, error) {
-	groups := c.sc.Groups()
-	if c.cfg.window > 0 {
-		entries, err := queryWindowCtx(ctx, groups, c.lastSlot, c.cfg.wireCodec())
-		if err != nil {
-			return nil, err
-		}
-		return toSample(entries), nil
-	}
-	entries, err := queryGroupsCtx(ctx, groups, c.cfg.SampleSize, c.cfg.wireCodec())
-	if err != nil {
-		return nil, err
-	}
-	return toSample(entries), nil
+	return queryCtx(ctx, &c.cfg, c.sc.Groups(), c.lastSlot)
 }
 
 // Estimate derives the KMV distinct-count estimate from a whole-stream
@@ -595,17 +573,15 @@ func (c *Client) Estimate(ctx context.Context) (Estimate, error) {
 // sliding-window candidate stores included. The blobs are what replication
 // and handoff frames carry; persist them as a backup.
 func (c *Client) Snapshot(ctx context.Context) ([]ShardState, error) {
-	groups := c.sc.Groups()
-	codec := c.cfg.wireCodec()
 	var out []ShardState
-	for slot, members := range groups {
+	for slot, members := range c.sc.Groups() {
 		if len(members) == 0 {
 			continue // retired by resharding
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		st, err := snapshotGroup(ctx, members, codec)
+		st, err := snapshotGroup(ctx, members)
 		if err != nil {
 			return nil, fmt.Errorf("dds: snapshot shard %d: %w", slot, err)
 		}
@@ -629,7 +605,6 @@ func (c *Client) Backup(ctx context.Context, dir string) error {
 		return fmt.Errorf("dds: backup: %w", err)
 	}
 	table := c.sc.Table()
-	codec := c.cfg.wireCodec()
 	for slot, members := range c.sc.Groups() {
 		if len(members) == 0 {
 			continue // retired by resharding
@@ -637,7 +612,7 @@ func (c *Client) Backup(ctx context.Context, dir string) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		st, err := snapshotGroup(ctx, members, codec)
+		st, err := snapshotGroup(ctx, members)
 		if err != nil {
 			return fmt.Errorf("dds: backup shard %d: %w", slot, err)
 		}
@@ -683,61 +658,35 @@ func QueryAsOf(ctx context.Context, asOf int64, cfg Config, opts ...Option) (Sam
 	if err != nil {
 		return nil, err
 	}
-	if cfg.window > 0 {
-		entries, err := queryWindowCtx(ctx, groups, asOf, cfg.wireCodec())
-		if err != nil {
-			return nil, err
-		}
-		return toSample(entries), nil
-	}
-	entries, err := queryGroupsCtx(ctx, groups, cfg.SampleSize, cfg.wireCodec())
-	if err != nil {
-		return nil, err
-	}
-	return toSample(entries), nil
+	return queryCtx(ctx, &cfg, groups, asOf)
 }
 
-// queryGroupsCtx runs the cluster query under a context: cancellation
-// abandons the wait (the underlying fan-out finishes in the background).
-func queryGroupsCtx(ctx context.Context, groups [][]string, size int, codec wire.Codec) ([]netsim.SampleEntry, error) {
+// queryCtx runs the cluster query under a context: the merged bottom-s
+// sample, or with a window the snapshot-based window sample as of slot asOf.
+// Cancellation abandons the wait (the underlying fan-out finishes in the
+// background).
+func queryCtx(ctx context.Context, cfg *Config, groups [][]string, asOf int64) (Sample, error) {
 	type result struct {
 		entries []netsim.SampleEntry
 		err     error
 	}
+	windowed, size := cfg.window > 0, cfg.SampleSize
 	done := make(chan result, 1)
 	go func() {
-		entries, err := cluster.QueryGroups(groups, size, codec)
-		done <- result{entries, err}
+		var r result
+		if windowed {
+			r.entries, r.err = cluster.QueryWindowGroups(groups, asOf, wire.CodecBinary)
+		} else {
+			r.entries, r.err = cluster.QueryGroups(groups, size, wire.CodecBinary)
+		}
+		done <- r
 	}()
 	select {
 	case r := <-done:
 		if r.err != nil {
 			return nil, fmt.Errorf("dds: query: %w", r.err)
 		}
-		return r.entries, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// queryWindowCtx runs the snapshot-based window query under a context (see
-// queryGroupsCtx for the cancellation contract).
-func queryWindowCtx(ctx context.Context, groups [][]string, asOf int64, codec wire.Codec) ([]netsim.SampleEntry, error) {
-	type result struct {
-		entries []netsim.SampleEntry
-		err     error
-	}
-	done := make(chan result, 1)
-	go func() {
-		entries, err := cluster.QueryWindowGroups(groups, asOf, codec)
-		done <- result{entries, err}
-	}()
-	select {
-	case r := <-done:
-		if r.err != nil {
-			return nil, fmt.Errorf("dds: query: %w", r.err)
-		}
-		return r.entries, nil
+		return toSample(r.entries), nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -746,13 +695,13 @@ func queryWindowCtx(ctx context.Context, groups [][]string, asOf int64, codec wi
 // snapshotGroup fetches one shard's state via the shared primary-resolution
 // walk: the current primary (probed by epoch) preferred, any live member —
 // whose state is at most one sync interval stale — as fallback.
-func snapshotGroup(ctx context.Context, members []string, codec wire.Codec) (core.State, error) {
+func snapshotGroup(ctx context.Context, members []string) (core.State, error) {
 	if err := ctx.Err(); err != nil {
 		return core.State{}, err
 	}
 	var st core.State
-	err := cluster.WithGroupPrimary(members, codec, func(addr string) error {
-		s, err := wire.SnapshotAddr(addr, codec)
+	err := cluster.WithGroupPrimary(members, wire.CodecBinary, func(addr string) error {
+		s, err := wire.SnapshotAddr(addr, wire.CodecBinary)
 		if err == nil {
 			st = s
 		}

@@ -266,6 +266,9 @@ func TestOpenValidationAndContext(t *testing.T) {
 	if _, err := dds.Open(ctx, dds.Config{Coordinators: [][]string{{"127.0.0.1:1"}}}, dds.WithPipelining(1)); err == nil {
 		t.Fatal("Open with pipelining depth 1 succeeded")
 	}
+	if _, err := dds.Open(ctx, dds.Config{Coordinators: [][]string{{"127.0.0.1:1"}}}, dds.WithCodec("json")); err == nil {
+		t.Fatal("Open with the retired JSON codec succeeded")
+	}
 	if _, err := dds.Open(ctx, dds.Config{Coordinators: [][]string{{"127.0.0.1:1"}}}, dds.WithReplicas(-1)); err == nil {
 		t.Fatal("Open with negative replicas succeeded")
 	}
@@ -396,7 +399,7 @@ func TestIngestAfterCloseFails(t *testing.T) {
 		name string
 		opts []dds.Option
 	}{
-		{"json-per-offer", []dds.Option{dds.WithCodec(dds.CodecJSON)}},
+		{"per-offer", nil},
 		{"binary-batched", []dds.Option{dds.WithCodec(dds.CodecBinary), dds.WithBatch(16)}},
 		{"pipelined", []dds.Option{dds.WithCodec(dds.CodecBinary), dds.WithBatch(16), dds.WithPipelining(4)}},
 	} {

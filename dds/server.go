@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/replica"
 	"repro/internal/sliding"
+	"repro/internal/wire"
 )
 
 // Cluster is an embeddable sampler cluster: Shards replica groups (one
@@ -74,7 +75,7 @@ func Serve(ctx context.Context, cfg Config, opts ...Option) (*Cluster, error) {
 			Replicas:     cfg.replicas,
 			SyncInterval: cfg.syncInterval,
 			Lease:        cfg.lease,
-			Codec:        cfg.wireCodec(),
+			Codec:        wire.CodecBinary,
 			RouteHash:    router.RouteHash,
 		}, newCoord)
 		if err != nil {
@@ -85,7 +86,7 @@ func Serve(ctx context.Context, cfg Config, opts ...Option) (*Cluster, error) {
 		cfg:    cfg,
 		router: router,
 		srv:    srv,
-		rs:     cluster.NewResharder(srv, router.Table(), cfg.wireCodec()),
+		rs:     cluster.NewResharder(srv, router.Table(), wire.CodecBinary),
 		spool:  spool,
 	}
 	if spool != nil {
@@ -152,7 +153,7 @@ func serveDurable(cfg Config, newCoord func(shard, member int) netsim.Coordinato
 		Replicas:      cfg.replicas,
 		SyncInterval:  cfg.syncInterval,
 		Lease:         cfg.lease,
-		Codec:         cfg.wireCodec(),
+		Codec:         wire.CodecBinary,
 		RouteHash:     router.RouteHash,
 		SpoolInterval: cfg.snapInterval,
 	}, newCoord)
@@ -325,7 +326,7 @@ func (cl *Cluster) SyncNow() error { return cl.srv.SyncNow() }
 // candidates behind an expired minimum).
 func (cl *Cluster) Sample(asOf int64) (Sample, error) {
 	if cl.cfg.window > 0 {
-		entries, err := cluster.QueryWindowGroups(cl.Groups(), asOf, cl.cfg.wireCodec())
+		entries, err := cluster.QueryWindowGroups(cl.Groups(), asOf, wire.CodecBinary)
 		if err != nil {
 			return nil, err
 		}

@@ -51,7 +51,7 @@ func DefaultBenchConfig() BenchConfig {
 		SampleSize: 32,
 		Elements:   20000,
 		Distinct:   5000,
-		Codec:      wire.CodecJSON,
+		Codec:      wire.CodecBinary,
 		Batch:      1,
 		Seed:       20130501,
 	}

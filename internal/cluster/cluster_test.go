@@ -89,13 +89,13 @@ func TestMergedSampleMatchesReference(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4, 8} {
 		for _, opts := range []wire.Options{
-			{Codec: wire.CodecJSON},
+			{Codec: wire.CodecBinary},
 			{Codec: wire.CodecBinary, BatchSize: 16},
 			// Pipelined ingest: batches stream with a credit window and the
 			// shard fan-out on Flush/Close runs concurrently; the merged
 			// sample must stay byte-identical to the reference.
 			{Codec: wire.CodecBinary, BatchSize: 16, Window: 4},
-			{Codec: wire.CodecJSON, BatchSize: 8, Window: 2},
+			{Codec: wire.CodecBinary, BatchSize: 8, Window: 2},
 		} {
 			srv := ingest(t, shards, k, s, hasher, arrivals, opts)
 			merged := srv.MergedSample(s)

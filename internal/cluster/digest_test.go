@@ -40,7 +40,7 @@ type siteOnly struct{ netsim.SiteNode }
 // digestOpts are the transport settings a digest travels through: one offer
 // per frame, batched, and pipelined.
 var digestOpts = []wire.Options{
-	{Codec: wire.CodecJSON},
+	{Codec: wire.CodecBinary},
 	{Codec: wire.CodecBinary, BatchSize: 16},
 	{Codec: wire.CodecBinary, BatchSize: 16, Window: 4},
 }

@@ -1053,35 +1053,46 @@ func Query(addrs []string, sampleSize int, codec wire.Codec) ([]netsim.SampleEnt
 // (slots retired by resharding) are skipped; at least one live group is
 // required.
 func QueryGroups(groups [][]string, sampleSize int, codec wire.Codec) ([]netsim.SampleEntry, error) {
-	live := 0
-	for _, members := range groups {
-		if len(members) > 0 {
-			live++
-		}
+	samples, err := readGroups(groups, "query", func(members []string) ([]netsim.SampleEntry, error) {
+		return queryGroup(members, codec)
+	})
+	if err != nil {
+		return nil, err
 	}
-	if live == 0 {
-		return nil, ErrNoShards
-	}
-	samples := make([][]netsim.SampleEntry, len(groups))
+	return Merge(sampleSize, samples...), nil
+}
+
+// readGroups runs read concurrently on every live group's members and
+// returns the entries read, indexed by slot. Nil or empty group entries
+// (slots retired by resharding) are skipped; at least one live group is
+// required. The first failing slot's error is returned, naming the read as
+// what.
+func readGroups(groups [][]string, what string, read func(members []string) ([]netsim.SampleEntry, error)) ([][]netsim.SampleEntry, error) {
+	out := make([][]netsim.SampleEntry, len(groups))
 	errs := make([]error, len(groups))
 	var wg sync.WaitGroup
+	live := 0
 	for i, members := range groups {
 		if len(members) == 0 {
 			continue
 		}
+		live++
 		wg.Add(1)
-		go func(i int, members []string) {
+		go func() {
 			defer wg.Done()
-			samples[i], errs[i] = queryGroup(members, codec)
-		}(i, members)
+			out[i], errs[i] = read(members)
+		}()
+	}
+	if live == 0 {
+		return nil, ErrNoShards
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("cluster: query shard %d: %w", i, err)
+			return nil, fmt.Errorf("cluster: %s shard %d: %w", what, i, err)
 		}
 	}
-	return Merge(sampleSize, samples...), nil
+	return out, nil
 }
 
 // WithGroupPrimary runs op against a replica group's current primary: it
@@ -1146,47 +1157,25 @@ func queryGroup(members []string, codec wire.Codec) ([]netsim.SampleEntry, error
 // candidates, and only the snapshot's candidate store makes the query exact
 // in that case.
 func QueryWindowGroups(groups [][]string, now int64, codec wire.Codec) ([]netsim.SampleEntry, error) {
-	live := 0
-	for _, members := range groups {
-		if len(members) > 0 {
-			live++
-		}
-	}
-	if live == 0 {
-		return nil, ErrNoShards
-	}
-	candidates := make([][]netsim.SampleEntry, len(groups))
-	errs := make([]error, len(groups))
-	var wg sync.WaitGroup
-	for i, members := range groups {
-		if len(members) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, members []string) {
-			defer wg.Done()
-			errs[i] = WithGroupPrimary(members, codec, func(addr string) error {
-				st, err := wire.SnapshotAddr(addr, codec)
-				if err != nil {
-					return err
+	candidates, err := readGroups(groups, "window query", func(members []string) ([]netsim.SampleEntry, error) {
+		var entries []netsim.SampleEntry
+		err := WithGroupPrimary(members, codec, func(addr string) error {
+			st, err := wire.SnapshotAddr(addr, codec)
+			if err != nil {
+				return err
+			}
+			for _, sec := range st.Sections {
+				entries = append(entries, sec.Entries...)
+				if sec.Candidate != nil {
+					entries = append(entries, *sec.Candidate)
 				}
-				var entries []netsim.SampleEntry
-				for _, sec := range st.Sections {
-					entries = append(entries, sec.Entries...)
-					if sec.Candidate != nil {
-						entries = append(entries, *sec.Candidate)
-					}
-				}
-				candidates[i] = entries
-				return nil
-			})
-		}(i, members)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: window query shard %d: %w", i, err)
-		}
+			}
+			return nil
+		})
+		return entries, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return MergeWindow(now, candidates...), nil
 }

@@ -50,8 +50,10 @@ type Options struct {
 	// replicas while ingest is active (syncs are skipped while the primary is
 	// idle). Defaults to DefaultSyncInterval.
 	SyncInterval time.Duration
-	// Codec is the wire codec used for replication connections (state-frame
-	// pushes, epoch probes, and lease renewals).
+	// Codec is the wire codec of replication connections (state-frame
+	// pushes, epoch probes, and lease renewals). wire.CodecBinary, the zero
+	// value, is the only one; the field stays while the benchmark module
+	// sets it.
 	Codec wire.Codec
 	// RouteHash is the cluster's routing-hash function (ShardRouter.RouteHash
 	// of the shared hasher). When set it is installed on every member server,

@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -13,52 +12,30 @@ import (
 	"repro/internal/obs"
 )
 
-// Codec selects the wire encoding of a connection. Every connection starts
-// with a client-chosen preamble: JSON clients simply send their first frame
-// (which always begins with '{'), binary clients send the 4-byte magic
-// binMagic first. The server sniffs the first byte, so old JSON clients keep
-// working unchanged and the codec is negotiated without an extra round trip.
+// Codec names the wire encoding of a connection. The length-prefixed binary
+// encoding is the only one, so CodecBinary, the zero value, is the only
+// value. The type stays only because the benchmark module (perfbench)
+// names it and passes it on; it goes once that module stops.
 type Codec int
 
-const (
-	// CodecJSON is the original newline-delimited JSON encoding: one JSON
-	// object per frame, human-readable, self-describing.
-	CodecJSON Codec = iota
-	// CodecBinary is the length-prefixed binary encoding: a uint32
-	// little-endian payload length followed by a compact tag-based payload.
-	// Combined with batched frames it amortizes syscalls and encoding over
-	// many offers and is the transport for high-throughput ingest.
-	CodecBinary
-)
+// CodecBinary is the length-prefixed binary encoding: a connection opens
+// with the 4-byte preamble binMagic, and every frame is a uint32
+// little-endian payload length followed by a compact tag-based payload.
+// Combined with batched frames it amortizes syscalls and encoding over many
+// offers.
+const CodecBinary Codec = 0
 
 // String implements fmt.Stringer.
-func (c Codec) String() string {
-	if c == CodecBinary {
-		return "binary"
-	}
-	return "json"
-}
+func (c Codec) String() string { return "binary" }
 
-// ParseCodec maps the -codec flag values to a Codec.
-func ParseCodec(name string) (Codec, error) {
-	switch name {
-	case "json":
-		return CodecJSON, nil
-	case "binary":
-		return CodecBinary, nil
-	default:
-		return 0, fmt.Errorf("wire: unknown codec %q (want json or binary)", name)
-	}
-}
-
-// binMagic is the binary-codec connection preamble. The first byte is not
-// '{', which is how the server tells the two codecs apart. The trailing
-// digit versions the frame layout: "2" added the pipeline sequence number
-// to batch and replies frames, "3" added the trailing trace triple
-// (trace/span ID uvarints plus a flags byte) to the trace-carrying frames —
-// batch, replies, state-frame, route-push, lease-renew. A "DDS1"/"DDS2"
-// peer is rejected at the preamble instead of misparsing frames mid-stream.
-var binMagic = [4]byte{'D', 'D', 'S', '3'}
+// binMagic is the connection preamble. The trailing digit versions the
+// frame layout: "2" added the pipeline sequence number to batch and replies
+// frames, "3" added the trailing trace triple (trace/span ID uvarints plus a
+// flags byte) to the trace-carrying frames — batch, replies, state-frame,
+// route-push, lease-renew — and "4" put the code byte ahead of an error
+// frame's text. A peer speaking an older layout is rejected at the preamble
+// instead of misparsing frames mid-stream.
+var binMagic = [4]byte{'D', 'D', 'S', '4'}
 
 // maxFrameSize bounds a binary frame's payload, protecting the server from
 // malformed or hostile length prefixes.
@@ -143,7 +120,7 @@ var nameToBin = map[string]byte{
 	FrameLeaseAck:     binLeaseAck,
 }
 
-// frameConn reads and writes protocol frames in one concrete codec. A
+// frameConn reads and writes protocol frames over one transport. A
 // connection is used by at most one reading and one writing goroutine at a
 // time (a site client reads replies from a dedicated goroutine while the
 // caller writes); each side owns its own scratch state.
@@ -164,56 +141,16 @@ type frameConn interface {
 // DialSyncWrap and ServeMemWrap thread a wrapper into real connections.
 type FrameConn = frameConn
 
-// jsonConn is the original one-JSON-object-per-line transport. Writes are
-// unbuffered (Flush is a no-op): each frame leaves as it is encoded.
-type jsonConn struct {
-	dec *json.Decoder
-	enc *json.Encoder
-}
-
-func newJSONConn(r io.Reader, w io.Writer) *jsonConn {
-	return &jsonConn{dec: json.NewDecoder(r), enc: json.NewEncoder(w)}
-}
-
-func (c *jsonConn) ReadFrame(f *Frame) error {
-	*f = Frame{}
-	var decStart int64
-	if obs.TracingEnabled() {
-		decStart = nowNanos()
-	}
-	if err := c.dec.Decode(f); err != nil {
-		return err
-	}
-	if decStart != 0 {
-		f.decodeStart, f.decodeEnd = decStart, nowNanos()
-	}
-	if code, ok := nameToBin[f.Type]; ok {
-		obsFramesDecoded[code].Inc()
-	}
-	return nil
-}
-
-func (c *jsonConn) WriteFrame(f *Frame) error {
-	if err := c.enc.Encode(f); err != nil {
-		return err
-	}
-	if code, ok := nameToBin[f.Type]; ok {
-		obsFramesEncoded[code].Inc()
-	}
-	return nil
-}
-func (c *jsonConn) Flush() error { return nil }
-
-// binBufSize sizes the binary transport's buffered reader and writer. Large
+// binBufSize sizes a connection's buffered reader and writer. Large
 // enough to hold a whole pipeline window of typical batch frames, so a
 // coalesced flush or a batched read costs one syscall.
 const binBufSize = 64 << 10
 
-// binConn is the length-prefixed binary transport. Writes are buffered until
-// Flush, so a run of batch frames costs one syscall. Read and write scratch
-// buffers are separate and persistent: a site client reads from a dedicated
-// goroutine while the writer keeps encoding, and neither side reallocates
-// once warm.
+// binConn is the length-prefixed binary transport over a stream connection.
+// Writes are buffered until Flush, so a run of batch frames costs one
+// syscall. Read and write scratch buffers are separate and persistent: a
+// site client reads from a dedicated goroutine while the writer keeps
+// encoding, and neither side reallocates once warm.
 type binConn struct {
 	r    *bufio.Reader
 	w    *bufio.Writer
@@ -228,13 +165,12 @@ func newBinConn(r *bufio.Reader, w io.Writer) *binConn {
 
 func (c *binConn) Flush() error { return c.w.Flush() }
 
-// dialBinary sends the binary preamble over a fresh client connection.
-func dialBinary(conn net.Conn, r *bufio.Reader) (*binConn, error) {
-	c := newBinConn(r, conn)
-	if _, err := c.w.Write(binMagic[:]); err != nil {
-		return nil, fmt.Errorf("wire: send magic: %w", err)
-	}
-	return c, nil
+// clientConn builds the client half of a fresh connection. The preamble
+// waits in the write buffer and leaves with the first frame.
+func clientConn(conn net.Conn) *binConn {
+	c := newBinConn(bufio.NewReaderSize(conn, binBufSize), conn)
+	_, _ = c.w.Write(binMagic[:]) // cannot fail: the buffer is empty and larger
+	return c
 }
 
 func (c *binConn) WriteFrame(f *Frame) error {
@@ -266,6 +202,7 @@ func (c *binConn) WriteFrame(f *Frame) error {
 			buf = binary.AppendVarint(buf, e.Expiry)
 		}
 	case binError:
+		buf = append(buf, f.errCode)
 		buf = appendString(buf, f.Error)
 	case binBatch:
 		buf = binary.AppendUvarint(buf, f.Seq)
@@ -402,6 +339,7 @@ func (c *binConn) ReadFrame(f *Frame) error {
 			f.Entries = append(f.Entries, e)
 		}
 	case binError:
+		f.errCode = d.byte()
 		f.Error = d.string()
 	case binBatch:
 		f.Seq = d.uvarint()
@@ -665,19 +603,11 @@ func (d *byteDecoder) checkCount(count uint64, minBytes int) error {
 	return d.err
 }
 
-// sniffServerConn inspects the first byte of an accepted connection and
-// returns the matching frameConn: '{' selects JSON (a legacy client's first
-// frame), the binary magic selects the binary codec. Anything else is
-// rejected.
-func sniffServerConn(conn net.Conn) (frameConn, error) {
+// serverConn reads the preamble of an accepted connection and returns the
+// server half of it. Anything but binMagic — an older layout's preamble
+// included — is rejected.
+func serverConn(conn net.Conn) (*binConn, error) {
 	br := bufio.NewReaderSize(conn, binBufSize)
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, err
-	}
-	if first[0] == '{' {
-		return newJSONConn(br, conn), nil
-	}
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, err

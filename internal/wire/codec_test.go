@@ -45,6 +45,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 			{Key: "", Hash: 0.99},
 		}},
 		{Type: FrameError, Error: "boom"},
+		{Type: FrameError, Error: "fenced", errCode: errLeaseLapsed},
 		{Type: FrameBatch, Seq: 7, Batch: []BatchEntry{
 			{Slot: 1, Msg: netsim.Message{Kind: netsim.KindOffer, Key: "x", Hash: 0.5}},
 			{Slot: 2, Msg: netsim.Message{Kind: netsim.KindWindowOffer, Key: "y", Hash: 0.25, Expiry: 11}},
@@ -144,24 +145,9 @@ func TestBinaryCodecRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-func TestParseCodec(t *testing.T) {
-	if c, err := ParseCodec("json"); err != nil || c != CodecJSON {
-		t.Fatalf("ParseCodec(json) = %v, %v", c, err)
-	}
-	if c, err := ParseCodec("binary"); err != nil || c != CodecBinary {
-		t.Fatalf("ParseCodec(binary) = %v, %v", c, err)
-	}
-	if _, err := ParseCodec("gob"); err == nil {
-		t.Fatal("ParseCodec should reject unknown names")
-	}
-	if CodecJSON.String() != "json" || CodecBinary.String() != "binary" {
-		t.Fatal("Codec.String mismatch")
-	}
-}
-
 // TestBinaryBatchedEndToEnd re-runs the infinite-window end-to-end
-// deployment over the binary codec with batching and checks the sample
-// against the centralized oracle, plus JSON/binary interop on one server.
+// deployment with batching and checks the sample, and the queried sample,
+// against the centralized oracle.
 func TestBinaryBatchedEndToEnd(t *testing.T) {
 	const (
 		k    = 4
@@ -181,11 +167,10 @@ func TestBinaryBatchedEndToEnd(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, k)
 	for site := 0; site < k; site++ {
-		// Mix codecs and batch sizes on the same server: negotiation is per
-		// connection.
-		opts := Options{Codec: CodecBinary, BatchSize: 32}
+		// Mix batch sizes on the same server: batching is per connection.
+		opts := Options{BatchSize: 32}
 		if site%2 == 1 {
-			opts = Options{Codec: CodecJSON, BatchSize: 4}
+			opts = Options{BatchSize: 4}
 		}
 		client, err := DialSiteOptions(core.NewInfiniteSite(site, hasher), addr, opts)
 		if err != nil {
@@ -214,24 +199,19 @@ func TestBinaryBatchedEndToEnd(t *testing.T) {
 	oracle := core.NewReference(s, hasher)
 	oracle.ObserveAll(stream.Keys(elements))
 	if !oracle.SameSample(srv.Sample()) {
-		t.Fatal("batched/binary deployment diverged from the oracle")
+		t.Fatal("batched deployment diverged from the oracle")
 	}
-	// Query over both codecs returns the same entries.
-	jsonSample, err := Query(addr)
+	queried, err := QueryWith(addr, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binSample, err := QueryWith(addr, CodecBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(jsonSample, binSample) {
-		t.Fatalf("codec-dependent query results:\njson: %+v\nbin:  %+v", jsonSample, binSample)
+	if !oracle.SameSample(queried) {
+		t.Fatalf("queried sample diverged from the oracle: %+v", queried)
 	}
 }
 
-// TestServerRejectsBadPreamble covers the negotiation path: a connection
-// that is neither JSON nor the binary magic is dropped without a response.
+// TestServerRejectsBadPreamble covers the preamble check: a connection that
+// does not open with binMagic is dropped without a response.
 func TestServerRejectsBadPreamble(t *testing.T) {
 	_, addr := startServer(t, core.NewInfiniteCoordinator(2))
 	conn, err := net.Dial("tcp", addr)

@@ -2,40 +2,52 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/hashing"
+	"repro/internal/netsim"
 )
 
-// TestMalformedFrames sends garbage at the server in both codecs and checks
-// that it drops the connection without taking the server down.
+// TestMalformedFrames sends garbage at the server — the retired JSON codec's
+// frames and older preambles among it — and checks that it drops the
+// connection without taking the server down or applying any of it.
 func TestMalformedFrames(t *testing.T) {
 	srv, addr := startServer(t, core.NewInfiniteCoordinator(4))
 
+	// A well-formed hello and batch offering "ghost-dds3", behind the
+	// preamble of the layout before error frames carried a code: the batch
+	// layout is unchanged, so only the preamble keeps its key out of the
+	// sample checked below.
+	dds3 := append([]byte{'D', 'D', 'S', '3'}, encodeFrames(t,
+		Frame{Type: FrameHello},
+		Frame{Type: FrameBatch, Batch: []BatchEntry{{Msg: netsim.Message{Kind: netsim.KindOffer, Key: "ghost-dds3", Hash: 0.001}}}})...)
 	garbage := [][]byte{
 		[]byte("{\"type\":\"offer\",,,\n"),           // JSON-looking but unparsable
-		[]byte("{\"type\": 12}\n{bad json"),          // valid frame then broken stream
-		{'D', 'D', 'S', '3', 0xff, 0xff, 0xff, 0x7f}, // binary magic + absurd length
-		{'D', 'D', 'S', '3', 2, 0, 0, 0, 0x7f, 0x00}, // binary magic + unknown frame code
+		[]byte("{\"type\": 12}\n{bad json"),          // valid JSON frame then broken stream
+		append(binMagic[:], 0xff, 0xff, 0xff, 0x7f),  // absurd length
+		append(binMagic[:], 2, 0, 0, 0, 0x7f, 0x00),  // unknown frame code
 		{'D', 'D', 'S', '1', 2, 0, 0, 0, 0x02, 0x00}, // stale pre-pipelining peer: rejected at the preamble
 		{'D', 'D', 'S', '2', 2, 0, 0, 0, 0x02, 0x00}, // pre-tracing layout: rejected at the preamble
-		{'X', 'Y'}, // neither codec
-		// Retired flat-sample state-sync: a server that still applied it
-		// would put "ghost" into the sample checked below.
+		dds3,       // uncoded error frames: rejected at the preamble
+		{'X', 'Y'}, // no preamble at all
+		// Retired flat-sample state-sync in JSON: a server that still
+		// applied it would put "ghost" into the sample checked below.
 		[]byte(`{"type":"state-sync","entries":[{"Key":"ghost","Hash":0.01}]}` + "\n"),
 	}
-	// The same retired frames in the binary codec (codes 0x08 and 0x0c).
+	// The same retired frames in binary (codes 0x08 and 0x0c).
 	stateSync, rangeHandoff := legacyFrames()
 	garbage = append(garbage,
 		append(binMagic[:], lengthPrefixed(stateSync)...),
 		append(binMagic[:], lengthPrefixed(rangeHandoff)...))
 	// The retired one-message offer frame, well formed and sent after a
-	// hello in both codecs: a server that still applied it would put its
-	// key into the sample checked below.
+	// hello in JSON and in binary: a server that still applied it would put
+	// its key into the sample checked below.
 	garbage = append(garbage,
 		[]byte(`{"type":"hello"}`+"\n"+`{"type":"offer","msg":{"Kind":1,"Key":"ghost-json","Hash":0.001}}`+"\n"),
 		append(append(binMagic[:], lengthPrefixed([]byte{binHello, 0})...), lengthPrefixed(retiredOffer("ghost-binary"))...))
@@ -61,7 +73,7 @@ func TestMalformedFrames(t *testing.T) {
 
 	// The server is still healthy: a well-formed session works.
 	hasher := hashing.NewMurmur2(5)
-	client, err := DialSite(core.NewInfiniteSite(0, hasher), addr)
+	client, err := DialSiteOptions(core.NewInfiniteSite(0, hasher), addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +81,7 @@ func TestMalformedFrames(t *testing.T) {
 	if err := client.Observe("survivor", 0); err != nil {
 		t.Fatal(err)
 	}
-	sample, err := Query(addr)
+	sample, err := QueryWith(addr, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +100,7 @@ func TestMidStreamDisconnect(t *testing.T) {
 	hasher := hashing.NewMurmur2(9)
 
 	// A site that says hello and vanishes.
-	c1, err := DialSite(core.NewInfiniteSite(1, hasher), addr)
+	c1, err := DialSiteOptions(core.NewInfiniteSite(1, hasher), addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +112,7 @@ func TestMidStreamDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial := append([]byte{'D', 'D', 'S', '3'}, binary.LittleEndian.AppendUint32(nil, 100)...)
+	partial := append(binMagic[:], binary.LittleEndian.AppendUint32(nil, 100)...)
 	partial = append(partial, 1, 2, 3)
 	if _, err := raw.Write(partial); err != nil {
 		t.Fatal(err)
@@ -136,7 +148,7 @@ func TestMidStreamDisconnect(t *testing.T) {
 	if err := c3.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sample, err := Query(addr)
+	sample, err := QueryWith(addr, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,15 +199,11 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 			errs <- client.Close()
 		}(site, client)
 	}
-	for q := 0; q < queries; q++ {
+	for range queries {
 		wg.Add(1)
-		go func(q int) {
+		go func() {
 			defer wg.Done()
-			codec := CodecJSON
-			if q%2 == 0 {
-				codec = CodecBinary
-			}
-			sample, err := QueryWith(addr, codec)
+			sample, err := QueryWith(addr, CodecBinary)
 			if err != nil {
 				errs <- err
 				return
@@ -203,7 +211,7 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 			if len(sample) > s {
 				errs <- errTooBig(len(sample))
 			}
-		}(q)
+		}()
 	}
 	wg.Wait()
 	close(errs)
@@ -216,7 +224,7 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 	// After ingest settles, the sample matches the oracle.
 	oracle := core.NewReference(s, hasher)
 	oracle.ObserveAll(keys)
-	final, err := Query(addr)
+	final, err := QueryWith(addr, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,3 +236,34 @@ func TestConcurrentQueriesDuringIngest(t *testing.T) {
 type errTooBig int
 
 func (e errTooBig) Error() string { return "sample larger than s" }
+
+// TestCoordErrorTypedByCode pins how a client types a refusal: by the error
+// frame's code alone. A coded frame restores its own sentinel whatever its
+// text says, and a generic frame stays untyped even when its text reads like
+// a fence's NACK.
+func TestCoordErrorTypedByCode(t *testing.T) {
+	sentinels := []error{ErrStaleRoute, ErrLeaseLapsed, ErrNotSnapshottable}
+	for _, tc := range []struct {
+		code byte
+		text string
+		want error // nil: untyped
+	}{
+		{errStaleRoute, "x", ErrStaleRoute},
+		{errLeaseLapsed, "x", ErrLeaseLapsed},
+		{errNotSnapshottable, "x", ErrNotSnapshottable},
+		{errGeneric, "stale route: this shard no longer owns the key's range", nil},
+		{errGeneric, "primary lease lapsed: offers fenced pending renewal or promotion", nil},
+		{errGeneric, "snapshot: coordinator node does not support state snapshots", nil},
+		{0xff, "x", nil}, // a code this client does not know
+	} {
+		err := coordError(&Frame{Type: FrameError, Error: tc.text, errCode: tc.code})
+		for _, sentinel := range sentinels {
+			if got := errors.Is(err, sentinel); got != (sentinel == tc.want) {
+				t.Errorf("code %d, text %q: errors.Is(err, %q) = %v", tc.code, tc.text, sentinel, got)
+			}
+		}
+		if !strings.Contains(err.Error(), tc.text) {
+			t.Errorf("code %d: error %q lost the frame's text %q", tc.code, err, tc.text)
+		}
+	}
+}

@@ -44,7 +44,7 @@ func corpusFrames() []Frame {
 		{Type: FrameReplies, Seq: 3, Msgs: []netsim.Message{msg, {Kind: netsim.KindThreshold, U: 0.25}}},
 		{Type: FrameQuery},
 		{Type: FrameSample, Entries: entries},
-		{Type: FrameError, Error: "corpus error"},
+		{Type: FrameError, Error: "corpus error", errCode: errStaleRoute},
 		{Type: FrameBatch, Seq: 9, Batch: []BatchEntry{{Slot: 1, Msg: msg}, {Slot: 2, Msg: msg}}},
 		{Type: FrameStateAck, Epoch: 2, Seq: 5},
 		{Type: FramePromote, Epoch: 6},
@@ -141,7 +141,7 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 // invariant, not nilness).
 func framesEquivalent(a, b *Frame) bool {
 	if a.Type != b.Type || a.Site != b.Site || a.Slot != b.Slot || a.Seq != b.Seq ||
-		a.Epoch != b.Epoch || a.Lo != b.Lo || a.Hi != b.Hi || a.Error != b.Error ||
+		a.Epoch != b.Epoch || a.Lo != b.Lo || a.Hi != b.Hi || a.Error != b.Error || a.errCode != b.errCode ||
 		a.TraceID != b.TraceID || a.SpanID != b.SpanID || a.TraceFlags != b.TraceFlags ||
 		!bytes.Equal(a.State, b.State) {
 		return false

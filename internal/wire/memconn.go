@@ -133,7 +133,7 @@ func (c *MemConn) Close() error {
 // ServeMem attaches a new in-memory connection to the server and returns the
 // client end. The connection is served exactly like an accepted TCP one —
 // same dispatch loop, same read pump, force-closed by Close — only the
-// transport (and its codec) is skipped.
+// socket and the encoding are skipped.
 func (s *CoordinatorServer) ServeMem() *MemConn {
 	client, server := newMemPipe()
 	// Track and count the handler in one critical section: the wg.Add must
@@ -160,8 +160,8 @@ func (s *CoordinatorServer) ServeMem() *MemConn {
 
 // DialSiteMem connects the given site node to an in-process coordinator
 // server over an in-memory frame pipe and announces its site id. It behaves
-// exactly like DialSiteOptions over TCP except that Options.Codec is
-// irrelevant (frames are never encoded).
+// exactly like DialSiteOptions over TCP except that frames are never
+// encoded.
 func DialSiteMem(node netsim.SiteNode, srv *CoordinatorServer, opts Options) (*SiteClient, error) {
 	fc := srv.ServeMem()
 	return newSiteClient(node, fc, fc, opts)

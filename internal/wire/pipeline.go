@@ -338,7 +338,7 @@ func (c *SiteClient) readLoop() {
 			c.routePush(&f)
 			continue
 		case FrameError:
-			c.failPipe(coordError(f.Error))
+			c.failPipe(coordError(&f))
 			c.mu.Unlock()
 			return
 		default:

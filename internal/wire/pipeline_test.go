@@ -139,7 +139,7 @@ func TestPipelinedSlidingWindowEndToEnd(t *testing.T) {
 		}
 	}
 
-	sample, err := Query(addr)
+	sample, err := QueryWith(addr, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +161,8 @@ func TestPipelinedSlidingWindowEndToEnd(t *testing.T) {
 // TestOneFrameWindowMatchesSequentialEngine pins the transport to the
 // paper's dialogue: with one frame in flight (Window 0 or 1) and one offer
 // per frame, a site and a coordinator over TCP exchange exactly the messages
-// the sequential engine of record counts, in both codecs, and the
-// coordinator ends with the engine's sample.
+// the sequential engine of record counts, and the coordinator ends with the
+// engine's sample.
 func TestOneFrameWindowMatchesSequentialEngine(t *testing.T) {
 	const (
 		s      = 16
@@ -190,44 +190,42 @@ func TestOneFrameWindowMatchesSequentialEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, codec := range []Codec{CodecJSON, CodecBinary} {
-			for _, win := range []int{0, 1} {
-				t.Run(fmt.Sprintf("%s/%s/window%d", p.name, codec, win), func(t *testing.T) {
-					srv, addr := startServer(t, p.coord())
-					client, err := DialSiteOptions(p.site(), addr, Options{Codec: codec, BatchSize: 1, Window: win})
-					if err != nil {
+		for _, win := range []int{0, 1} {
+			t.Run(fmt.Sprintf("%s/binary/window%d", p.name, win), func(t *testing.T) {
+				srv, addr := startServer(t, p.coord())
+				client, err := DialSiteOptions(p.site(), addr, Options{BatchSize: 1, Window: win})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, a := range arrivals {
+					if err := client.Observe(a.Key, a.Slot); err != nil {
 						t.Fatal(err)
 					}
-					for i, a := range arrivals {
-						if err := client.Observe(a.Key, a.Slot); err != nil {
+					if p.endSlots && (i+1 == len(arrivals) || arrivals[i+1].Slot != a.Slot) {
+						if err := client.EndSlot(a.Slot); err != nil {
 							t.Fatal(err)
 						}
-						if p.endSlots && (i+1 == len(arrivals) || arrivals[i+1].Slot != a.Slot) {
-							if err := client.EndSlot(a.Slot); err != nil {
-								t.Fatal(err)
-							}
-						}
 					}
-					if err := client.Close(); err != nil {
-						t.Fatal(err)
-					}
-					if got := client.MessagesSent(); got != want.UpMessages {
-						t.Errorf("sent %d messages, the engine sent %d", got, want.UpMessages)
-					}
-					if got := client.MessagesReceived(); got != want.DownMessages {
-						t.Errorf("received %d messages, the engine delivered %d", got, want.DownMessages)
-					}
-					if got := srv.Sample(); !reflect.DeepEqual(got, want.FinalSample) {
-						t.Errorf("coordinator sample differs from the engine's:\n got: %v\nwant: %v", got, want.FinalSample)
-					}
-				})
-			}
+				}
+				if err := client.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got := client.MessagesSent(); got != want.UpMessages {
+					t.Errorf("sent %d messages, the engine sent %d", got, want.UpMessages)
+				}
+				if got := client.MessagesReceived(); got != want.DownMessages {
+					t.Errorf("received %d messages, the engine delivered %d", got, want.DownMessages)
+				}
+				if got := srv.Sample(); !reflect.DeepEqual(got, want.FinalSample) {
+					t.Errorf("coordinator sample differs from the engine's:\n got: %v\nwant: %v", got, want.FinalSample)
+				}
+			})
 		}
 	}
 }
 
 // TestPipelinedAtLeast1_3xSyncBatched is the perf acceptance check of deep
-// credit windows, mirroring TestBatchedBinaryAtLeast3xJSON: streaming
+// credit windows, mirroring TestBatchedBinaryAtLeast3xPerOffer: streaming
 // batches of 64 offers with a window of DefaultWindow must beat the
 // one-frame window, the request/response dialogue, by at least 1.3x on
 // localhost. The two legs alternate over several rounds and their medians
@@ -271,7 +269,7 @@ func TestPipelinedRejectsBadSequence(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		fc, err := sniffServerConn(conn)
+		fc, err := serverConn(conn)
 		if err != nil {
 			return
 		}

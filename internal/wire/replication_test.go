@@ -131,10 +131,8 @@ func TestPromoteOverTCP(t *testing.T) {
 	}
 	defer srv.Close()
 
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		if epoch, err := ProbeEpoch(addr, codec); err != nil || epoch != srv.Epoch() {
-			t.Fatalf("%v probe = (%d, %v), server epoch %d", codec, epoch, err, srv.Epoch())
-		}
+	if epoch, err := ProbeEpoch(addr, CodecBinary); err != nil || epoch != srv.Epoch() {
+		t.Fatalf("probe = (%d, %v), server epoch %d", epoch, err, srv.Epoch())
 	}
 	if epoch, err := PromoteAddr(addr, 3, CodecBinary); err != nil || epoch != 3 {
 		t.Fatalf("PromoteAddr = (%d, %v)", epoch, err)
@@ -177,10 +175,7 @@ func TestReplyThinning(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	c, err := clientConn(conn, CodecBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := clientConn(conn)
 	if err := writeFlush(c, &Frame{Type: FrameHello, Site: 0}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -37,15 +36,6 @@ var ErrStaleRoute = errors.New("wire: fenced by a newer route-table version")
 // errors.Is; the public dds package re-exports it.
 var ErrLeaseLapsed = errors.New("wire: primary lease lapsed (offers fenced)")
 
-// leaseLapsedText is the server-side NACK string of a lease-fenced offer,
-// matched client-side to restore ErrLeaseLapsed across the wire.
-const leaseLapsedText = "primary lease lapsed"
-
-// staleRouteText is the server-side NACK string of a strict-routing fenced
-// offer (the key's hash range moved to another shard), matched client-side to
-// restore ErrStaleRoute across the wire.
-const staleRouteText = "stale route"
-
 // ErrNotSnapshottable is the typed form of a coordinator refusing a
 // state-snapshot operation because its node predates the Snapshot/Restore
 // API (legacy simulation nodes such as core.NewBroadcastCoordinator;
@@ -57,31 +47,40 @@ const staleRouteText = "stale route"
 // errors.Is, and the public dds package re-exports it.
 var ErrNotSnapshottable = errors.New("wire: coordinator node does not support state snapshots")
 
-// notSnapshottableText is the server-side error string of a refused
-// snapshot operation. It is matched on the client side to restore the typed
-// sentinel across the wire (the FrameError payload is just a string).
-const notSnapshottableText = "does not support state snapshots"
+// Error-frame codes: the byte ahead of an error frame's text that types the
+// refusal, so the client restores the sentinel without reading the text.
+// errGeneric, the zero value, marks every refusal without a sentinel.
+const (
+	errGeneric byte = iota
+	errStaleRoute
+	errLeaseLapsed
+	errNotSnapshottable
+)
 
 // notSnapshottableFrame is the error frame a node without core.Snapshotter
 // answers every state request with (state-frame, state-handoff, snapshot,
 // route-update), so coordError types each refusal the same way.
 func notSnapshottableFrame(frameType string) *Frame {
-	return &Frame{Type: FrameError, Error: frameType + ": coordinator node " + notSnapshottableText}
+	return &Frame{Type: FrameError, errCode: errNotSnapshottable,
+		Error: frameType + ": coordinator node does not support state snapshots"}
 }
 
-// coordError turns a FrameError payload into a client-side error,
-// re-attaching the typed sentinel for snapshot-capability refusals so
-// errors.Is works across the wire.
-func coordError(msg string) error {
-	switch {
-	case strings.Contains(msg, notSnapshottableText):
-		return fmt.Errorf("wire: coordinator error: %s: %w", msg, ErrNotSnapshottable)
-	case strings.Contains(msg, leaseLapsedText):
-		return fmt.Errorf("wire: coordinator error: %s: %w", msg, ErrLeaseLapsed)
-	case strings.Contains(msg, staleRouteText):
-		return fmt.Errorf("wire: coordinator error: %s: %w", msg, ErrStaleRoute)
+// coordError turns an error frame into a client-side error, wrapping the
+// sentinel its code names so errors.Is works across the wire. A generic or
+// unknown code gives an untyped error.
+func coordError(f *Frame) error {
+	var sentinel error
+	switch f.errCode {
+	case errStaleRoute:
+		sentinel = ErrStaleRoute
+	case errLeaseLapsed:
+		sentinel = ErrLeaseLapsed
+	case errNotSnapshottable:
+		sentinel = ErrNotSnapshottable
+	default:
+		return errors.New("wire: coordinator error: " + f.Error)
 	}
-	return errors.New("wire: coordinator error: " + msg)
+	return fmt.Errorf("wire: coordinator error: %s: %w", f.Error, sentinel)
 }
 
 // SyncClient speaks the control half of the protocol to one coordinator
@@ -101,12 +100,7 @@ func DialSync(addr string, codec Codec) (*SyncClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial sync: %w", err)
 	}
-	fc, err := clientConn(conn, codec)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return &SyncClient{conn: conn, fc: fc}, nil
+	return &SyncClient{conn: conn, fc: clientConn(conn)}, nil
 }
 
 // DialSyncWrap is DialSync with transport middleware: wrap receives the
@@ -157,7 +151,7 @@ func (c *SyncClient) roundTrip(f *Frame) (ackEpoch, ackSeq uint64, err error) {
 	case FrameStateAck, FrameLeaseAck:
 		return c.rframe.Epoch, c.rframe.Seq, nil
 	case FrameError:
-		return 0, 0, coordError(c.rframe.Error)
+		return 0, 0, coordError(&c.rframe)
 	default:
 		return 0, 0, errors.New("wire: unexpected frame " + c.rframe.Type)
 	}
@@ -238,7 +232,7 @@ func (c *SyncClient) FetchState() (st core.State, epoch uint64, slot int64, err 
 		}
 		return st, c.rframe.Epoch, c.rframe.Slot, nil
 	case FrameError:
-		return core.State{}, 0, 0, coordError(c.rframe.Error)
+		return core.State{}, 0, 0, coordError(&c.rframe)
 	default:
 		return core.State{}, 0, 0, errors.New("wire: unexpected frame " + c.rframe.Type)
 	}

@@ -11,19 +11,12 @@
 // (Algorithm Broadcast) are not supported over this transport, matching the
 // concurrent engine's contract.
 //
-// Two codecs are negotiated per connection (see Codec in codec.go):
-//
-//   - CodecJSON, the original human-readable format — one JSON object per
-//     line:
-//
-//     {"type":"batch","seq":3,"batch":[{"msg":{...}},...]}   site -> coordinator
-//     {"type":"replies","seq":3,"msgs":[{...},...]}           coordinator -> site
-//     {"type":"query"}                                        any client -> coordinator
-//     {"type":"sample","entries":[...]}                       coordinator -> querying client
-//
-//   - CodecBinary, a length-prefixed binary format for high-throughput
-//     ingest. A binary connection opens with a 4-byte magic; every frame is
-//     a uint32 length followed by a compact tagged payload.
+// Every connection speaks one length-prefixed binary encoding (codec.go): it
+// opens with a 4-byte preamble that versions the frame layout, and every
+// frame is a uint32 length followed by a compact tagged payload. An error
+// frame carries a code byte ahead of its text, so a client restores a typed
+// refusal (ErrStaleRoute, ErrLeaseLapsed, ErrNotSnapshottable) without
+// reading the text.
 //
 // A batch frame carries up to Options.BatchSize offers and is answered by
 // one replies frame covering all of them, so syscalls and encoding overhead
@@ -48,7 +41,6 @@
 package wire
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -64,26 +56,26 @@ import (
 // BatchEntry is one offer inside a batched frame, carrying its own slot so a
 // batch may span slot boundaries.
 type BatchEntry struct {
-	Slot int64          `json:"slot,omitempty"`
-	Msg  netsim.Message `json:"msg"`
+	Slot int64
+	Msg  netsim.Message
 }
 
 // Frame is one message of the wire protocol.
 type Frame struct {
-	Type string `json:"type"`
-	Site int    `json:"site,omitempty"`
-	Slot int64  `json:"slot,omitempty"`
+	Type string
+	Site int
+	Slot int64
 	// Seq is the batch sequence number of ingest: each batch frame carries
 	// the site's next sequence number and the coordinator echoes it on the
 	// covering replies frame, so a site streaming several batches without
 	// waiting can match replies to batches and detect reordering.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 	// Epoch is the replication fencing number. Promote frames carry the epoch
 	// the sender wants the receiver to assume; state-frame pushes are stamped
 	// with the sending primary's epoch and are rejected by replicas that have
 	// been promoted past it; state-ack frames echo the receiver's current
 	// epoch so a stale primary (or a probing client) learns the group moved on.
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 	// Lo and Hi delimit a half-open routing-hash range [Lo, Hi) on the
 	// resharding frames: route-update carries the receiver's newly owned
 	// range, state-handoff carries the range whose entries the receiver must
@@ -92,14 +84,14 @@ type Frame struct {
 	// carries the route-table version, the resharding fencing number: a
 	// coordinator that has applied version v ignores route frames stamped
 	// below it, exactly like the replication epoch fences state-frames.
-	Lo uint64 `json:"lo,omitempty"`
-	Hi uint64 `json:"hi,omitempty"`
+	Lo uint64
+	Hi uint64
 	// State is the payload of the state frames (state-frame and
 	// state-handoff): one encoded core.State, kind-tagged and version-fenced
 	// by core's own encoding, so the same frame layout replicates or hands
 	// off every sampler kind, the sliding-window coordinator's candidate
 	// store included.
-	State []byte `json:"state,omitempty"`
+	State []byte
 	// Bounds, Slots, and Groups are the payload of a route-push frame: the
 	// full routing table the coordinator wants its connected sites to adopt.
 	// Bounds[i] is the inclusive lower bound of range i (half-open ranges in
@@ -107,24 +99,27 @@ type Frame struct {
 	// slot-indexed replica-group addresses. Seq carries the table version —
 	// the same resharding fencing number route-update frames use — so a site
 	// that has already applied a newer table ignores the push.
-	Bounds  []uint64             `json:"bounds,omitempty"`
-	Slots   []int64              `json:"slots,omitempty"`
-	Groups  [][]string           `json:"groups,omitempty"`
-	Msgs    []netsim.Message     `json:"msgs,omitempty"`
-	Batch   []BatchEntry         `json:"batch,omitempty"`
-	Entries []netsim.SampleEntry `json:"entries,omitempty"`
-	Error   string               `json:"error,omitempty"`
+	Bounds  []uint64
+	Slots   []int64
+	Groups  [][]string
+	Msgs    []netsim.Message
+	Batch   []BatchEntry
+	Entries []netsim.SampleEntry
+	Error   string
 	// TraceID, SpanID, and TraceFlags propagate a sampled trace context
 	// across the wire (see internal/obs): batch frames carry the ingest
 	// trace the site started, replies echo a child context, and the
 	// state-frame / route-push / lease-renew control frames thread the same
 	// trace through replication and reshard rounds. All three are zero on
-	// unsampled traffic — the binary codec still encodes them on the
-	// carrying frames (three bytes of zeros), the JSON codec omits them.
-	TraceID    uint64 `json:"trace_id,omitempty"`
-	SpanID     uint64 `json:"span_id,omitempty"`
-	TraceFlags uint8  `json:"trace_flags,omitempty"`
+	// unsampled traffic, and the carrying frames still encode them (three
+	// bytes of zeros).
+	TraceID    uint64
+	SpanID     uint64
+	TraceFlags uint8
 
+	// errCode types an error frame for coordError: one of the err* codes in
+	// sync.go, errGeneric by default. Error's text is for people only.
+	errCode byte
 	// decodeStart/decodeEnd bound the wall-clock window ReadFrame spent
 	// decoding this frame. Stamped only while tracing is enabled (and left
 	// zero otherwise); the dispatch loop turns them into the coord_decode
@@ -149,7 +144,7 @@ const (
 	FrameReplies = "replies" // coordinator -> site: the replies to one batch
 	FrameQuery   = "query"   // client -> coordinator: request the sample
 	FrameSample  = "sample"  // coordinator -> client: the current sample
-	FrameError   = "error"   // coordinator -> client: protocol violation
+	FrameError   = "error"   // coordinator -> client: refusal or protocol violation
 	// Replication frames (see internal/replica).
 	FrameStateAck = "state-ack" // replica -> primary/prober: applied (or current) epoch and sync seq
 	FramePromote  = "promote"   // client -> replica: assume this epoch (become primary)
@@ -413,7 +408,7 @@ func (s *CoordinatorServer) leaseFenceLocked() (nack string, lapsed bool) {
 		s.leaseLapsed = true
 		lapsed = true
 	}
-	return leaseLapsedText + ": offers fenced pending renewal or promotion", lapsed
+	return "primary lease lapsed: offers fenced pending renewal or promotion", lapsed
 }
 
 // routeFenceLocked checks the strict-routing fence for one offered key,
@@ -421,7 +416,7 @@ func (s *CoordinatorServer) leaseFenceLocked() (nack string, lapsed bool) {
 // hold s.mu. It is a no-op until RestrictRoute arms it.
 func (s *CoordinatorServer) routeFenceLocked(key string) string {
 	if s.routeStrict && s.routeHash != nil && !routeInRange(s.routeHash(key), s.routeLo, s.routeHi) {
-		return staleRouteText + ": this shard no longer owns the key's range"
+		return "stale route: this shard no longer owns the key's range"
 	}
 	return ""
 }
@@ -518,8 +513,7 @@ func writeFlush(fc frameConn, f *Frame) error {
 	return fc.Flush()
 }
 
-// handle serves one site (or query client) TCP connection in whichever codec
-// the client chose.
+// handle serves one site (or query client) TCP connection.
 func (s *CoordinatorServer) handle(conn net.Conn) {
 	if !s.track(conn) {
 		conn.Close() // raced the server's Close; a dead server serves no one
@@ -527,7 +521,7 @@ func (s *CoordinatorServer) handle(conn net.Conn) {
 	}
 	defer s.untrack(conn)
 	defer conn.Close()
-	fc, err := sniffServerConn(conn)
+	fc, err := serverConn(conn)
 	if err != nil {
 		return // unreadable preamble; drop the connection
 	}
@@ -692,7 +686,11 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			if nack != "" {
 				s.mu.Unlock()
 				batchFenceObs(leaseFenced, lapsed, nack)
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: nack})
+				code := errStaleRoute
+				if leaseFenced {
+					code = errLeaseLapsed
+				}
+				_ = writeFlush(fc, &Frame{Type: FrameError, Error: nack, errCode: code})
 				return
 			}
 			for i := range f.Batch {
@@ -1064,8 +1062,8 @@ func (s *CoordinatorServer) dispatchLocked(msg netsim.Message, slot int64, siteI
 
 // Options configures a site client's transport.
 type Options struct {
-	// Codec selects the wire encoding. The default CodecJSON matches legacy
-	// coordinators; CodecBinary is the high-throughput encoding.
+	// Codec names the wire encoding. CodecBinary, the zero value, is the
+	// only one; the field stays while the benchmark module sets it.
 	Codec Codec
 	// BatchSize is the most coordinator-bound messages one batch frame
 	// carries; 0 or 1 ships every offer in its own frame. EndSlot and Close
@@ -1149,13 +1147,6 @@ type SiteClient struct {
 	received int
 }
 
-// DialSite connects the given site node to the coordinator at addr with the
-// default options (JSON codec, one offer per frame, one frame in flight) and
-// announces its site id.
-func DialSite(node netsim.SiteNode, addr string) (*SiteClient, error) {
-	return DialSiteOptions(node, addr, Options{})
-}
-
 // DialSiteOptions connects the given site node to the coordinator at addr
 // using the given transport options and announces its site id.
 func DialSiteOptions(node netsim.SiteNode, addr string, opts Options) (*SiteClient, error) {
@@ -1163,12 +1154,7 @@ func DialSiteOptions(node netsim.SiteNode, addr string, opts Options) (*SiteClie
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial: %w", err)
 	}
-	fc, err := clientConn(conn, opts.Codec)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return newSiteClient(node, conn, fc, opts)
+	return newSiteClient(node, conn, clientConn(conn), opts)
 }
 
 // newSiteClient announces node's site id on a fresh connection, whose
@@ -1185,16 +1171,6 @@ func newSiteClient(node netsim.SiteNode, conn io.Closer, fc frameConn, opts Opti
 	c.pipe.done = make(chan struct{})
 	go c.readLoop()
 	return c, nil
-}
-
-// clientConn builds the client half of a connection in the chosen codec,
-// sending the binary preamble when needed.
-func clientConn(conn net.Conn, codec Codec) (frameConn, error) {
-	br := bufio.NewReaderSize(conn, binBufSize)
-	if codec == CodecBinary {
-		return dialBinary(conn, br)
-	}
-	return newJSONConn(br, conn), nil
 }
 
 // Abort closes the underlying transport immediately, without flushing
@@ -1394,23 +1370,15 @@ func (c *SiteClient) routePush(f *Frame) {
 	}
 }
 
-// Query opens a short-lived JSON connection to the coordinator at addr and
+// QueryWith opens a short-lived connection to the coordinator at addr and
 // returns its current distinct sample.
-func Query(addr string) ([]netsim.SampleEntry, error) {
-	return QueryWith(addr, CodecJSON)
-}
-
-// QueryWith is Query over an explicit codec.
 func QueryWith(addr string, codec Codec) ([]netsim.SampleEntry, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial: %w", err)
 	}
 	defer conn.Close()
-	fc, err := clientConn(conn, codec)
-	if err != nil {
-		return nil, err
-	}
+	fc := clientConn(conn)
 	if err := writeFlush(fc, &Frame{Type: FrameQuery}); err != nil {
 		return nil, fmt.Errorf("wire: query: %w", err)
 	}
@@ -1419,7 +1387,7 @@ func QueryWith(addr string, codec Codec) ([]netsim.SampleEntry, error) {
 		return nil, fmt.Errorf("wire: read sample: %w", err)
 	}
 	if resp.Type == FrameError {
-		return nil, errors.New("wire: coordinator error: " + resp.Error)
+		return nil, coordError(&resp)
 	}
 	if resp.Type != FrameSample {
 		return nil, errors.New("wire: unexpected frame " + resp.Type)

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bufio"
-	"encoding/json"
 	"net"
 	"strings"
 	"sync"
@@ -52,7 +50,7 @@ func TestTCPInfiniteWindowEndToEnd(t *testing.T) {
 	errs := make(chan error, k)
 	clients := make([]*SiteClient, k)
 	for site := 0; site < k; site++ {
-		client, err := DialSite(core.NewInfiniteSite(site, hasher), addr)
+		client, err := DialSiteOptions(core.NewInfiniteSite(site, hasher), addr, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +80,7 @@ func TestTCPInfiniteWindowEndToEnd(t *testing.T) {
 	}
 
 	// The query interface returns the same sample.
-	queried, err := Query(addr)
+	queried, err := QueryWith(addr, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +121,7 @@ func TestTCPSlidingWindowEndToEnd(t *testing.T) {
 
 	clients := make([]*SiteClient, k)
 	for site := 0; site < k; site++ {
-		client, err := DialSite(sliding.NewSite(site, hasher, window, uint64(site)+1), addr)
+		client, err := DialSiteOptions(sliding.NewSite(site, hasher, window, uint64(site)+1), addr, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +150,7 @@ func TestTCPSlidingWindowEndToEnd(t *testing.T) {
 	}
 
 	// The final sample is the minimum-hash element of the last window.
-	sample, err := Query(addr)
+	sample, err := QueryWith(addr, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +175,7 @@ func TestTCPRejectsBroadcastCoordinator(t *testing.T) {
 	// reports a protocol error to the site.
 	hasher := hashing.NewMurmur2(3)
 	_, addr := startServer(t, core.NewBroadcastCoordinator(1))
-	client, err := DialSite(core.NewBroadcastSite(0, hasher), addr)
+	client, err := DialSiteOptions(core.NewBroadcastSite(0, hasher), addr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,41 +188,39 @@ func TestTCPRejectsBroadcastCoordinator(t *testing.T) {
 func TestTCPProtocolErrors(t *testing.T) {
 	_, addr := startServer(t, core.NewInfiniteCoordinator(2))
 
-	send := func(frames ...Frame) Frame {
+	send := func(f Frame) Frame {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		enc := json.NewEncoder(conn)
-		dec := json.NewDecoder(bufio.NewReader(conn))
-		var last Frame
-		for _, f := range frames {
-			if err := enc.Encode(f); err != nil {
-				t.Fatal(err)
-			}
-			if err := dec.Decode(&last); err != nil {
-				t.Fatal(err)
-			}
+		fc := clientConn(conn)
+		if err := writeFlush(fc, &f); err != nil {
+			t.Fatal(err)
 		}
-		return last
+		var resp Frame
+		if err := fc.ReadFrame(&resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
 
 	// Batch before hello.
 	resp := send(Frame{Type: FrameBatch, Batch: []BatchEntry{{Msg: netsim.Message{Kind: netsim.KindOffer, Key: "x", Hash: 0.5}}}})
-	if resp.Type != FrameError {
-		t.Fatalf("expected error frame, got %+v", resp)
+	if resp.Type != FrameError || resp.errCode != errGeneric {
+		t.Fatalf("expected a generic error frame, got %+v", resp)
 	}
-	// Unknown frame type.
-	resp = send(Frame{Type: "bogus"})
-	if resp.Type != FrameError {
-		t.Fatalf("expected error frame, got %+v", resp)
+	// A frame only a coordinator sends reaches the server's unknown-type
+	// branch.
+	resp = send(Frame{Type: FrameReplies})
+	if resp.Type != FrameError || resp.errCode != errGeneric {
+		t.Fatalf("expected a generic error frame, got %+v", resp)
 	}
 	// Dialing a dead address fails cleanly.
-	if _, err := DialSite(core.NewInfiniteSite(0, hashing.NewMurmur2(1)), "127.0.0.1:1"); err == nil {
+	if _, err := DialSiteOptions(core.NewInfiniteSite(0, hashing.NewMurmur2(1)), "127.0.0.1:1", Options{}); err == nil {
 		t.Fatal("expected dial error")
 	}
-	if _, err := Query("127.0.0.1:1"); err == nil {
+	if _, err := QueryWith("127.0.0.1:1", CodecBinary); err == nil {
 		t.Fatal("expected query dial error")
 	}
 }
