@@ -389,8 +389,9 @@ func (s *Server) spoolLoop(g *group) {
 
 // spoolGroup captures the group's primary state and writes it to the spool.
 // Unless force is set, the write is skipped while the primary is idle (same
-// change detection as syncRound: activity count and epoch). Nodes predating
-// the Snapshot/Restore API cannot be persisted and are skipped silently.
+// change detection as syncRound: activity count and epoch), and a skipped
+// round captures nothing. Nodes predating the Snapshot/Restore API cannot be
+// persisted and are skipped silently.
 func (s *Server) spoolGroup(g *group, force bool) error {
 	if s.opts.Spool == nil || g.isRetired() {
 		return nil
@@ -399,14 +400,14 @@ func (s *Server) spoolGroup(g *group, force bool) error {
 	if p == nil {
 		return fmt.Errorf("replica: shard %d: no live members to spool", g.shard)
 	}
-	st, ok, _, offers := p.srv.SnapshotSync()
-	if !ok {
-		return nil
-	}
 	epoch := p.srv.Epoch()
 	g.spoolMu.Lock()
 	defer g.spoolMu.Unlock()
-	if !force && g.spooledOnce && offers == g.spooledOffers && epoch == g.spooledEpoch {
+	if !force && g.spooledOnce && p.srv.Activity() == g.spooledOffers && epoch == g.spooledEpoch {
+		return nil
+	}
+	st, ok, _, offers := p.srv.SnapshotSync()
+	if !ok {
 		return nil
 	}
 	if _, err := s.opts.Spool.WriteSnapshot(g.shard, epoch, s.routeVersion.Load(), st); err != nil {
@@ -469,7 +470,8 @@ func (g *group) primary() (int, *member) {
 
 // syncRound captures the primary's state and pushes one state-frame to
 // every live replica. Unless force is set, the push is skipped while the
-// primary is idle (no new offers and no epoch change since the last push).
+// primary is idle (no new offers and no epoch change since the last push),
+// and a skipped round captures and encodes nothing.
 // Errors pushing to individual replicas are returned joined but do not stop
 // the round — a dead replica must not block the others.
 //
@@ -490,6 +492,21 @@ func (g *group) syncRound(opts Options, force bool) error {
 	if p == nil {
 		return fmt.Errorf("replica: shard %d: no live members", g.shard)
 	}
+	epoch := p.srv.Epoch()
+	// The round's trace context: adopt the last sampled ingest batch the
+	// primary acknowledged — linking site → shard → replica in one timeline —
+	// or make a fresh sampling decision for rounds with no traced ingest.
+	tc := p.srv.TakeTrace()
+	if !tc.Sampled() {
+		tc = obs.StartTrace()
+	}
+	if !force && g.pushed && p.srv.Activity() == g.lastOffers && epoch == g.lastEpoch {
+		obsSyncSkipped.Inc()
+		if opts.Lease > 0 {
+			g.renewOnQuorum(opts, p, epoch, g.probeQuorum(opts, p), tc)
+		}
+		return nil
+	}
 	// One encoded core.State replicates any snapshot-capable sampler (the
 	// sliding-window coordinator's candidate store included). A node without
 	// Snapshot/Restore only ever serves an unreplicated group (AddGroup
@@ -499,21 +516,6 @@ func (g *group) syncRound(opts Options, force bool) error {
 		return nil
 	}
 	encoded := core.EncodeState(st)
-	epoch := p.srv.Epoch()
-	// The round's trace context: adopt the last sampled ingest batch the
-	// primary acknowledged — linking site → shard → replica in one timeline —
-	// or make a fresh sampling decision for rounds with no traced ingest.
-	tc := p.srv.TakeTrace()
-	if !tc.Sampled() {
-		tc = obs.StartTrace()
-	}
-	if !force && g.pushed && offers == g.lastOffers && epoch == g.lastEpoch {
-		obsSyncSkipped.Inc()
-		if opts.Lease > 0 {
-			g.renewOnQuorum(opts, p, epoch, g.probeQuorum(opts, p), tc)
-		}
-		return nil
-	}
 	start := nowNanos()
 	obsSyncRounds.Inc()
 	obsSyncBytes.Add(uint64(len(encoded)))

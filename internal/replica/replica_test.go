@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/hashing"
 	"repro/internal/netsim"
 	"repro/internal/wire"
@@ -103,6 +104,88 @@ func TestSyncSkipsIdlePrimary(t *testing.T) {
 	}
 	if g.seq == seqAfterFirst {
 		t.Fatal("SyncNow did not force a push")
+	}
+}
+
+// countingSampler counts the state captures of the coordinator it wraps.
+type countingSampler struct {
+	*core.InfiniteCoordinator
+	snapshots atomic.Int64
+}
+
+func (c *countingSampler) Snapshot() core.State {
+	c.snapshots.Add(1)
+	return c.InfiniteCoordinator.Snapshot()
+}
+
+// TestSkippedRoundsCaptureNoState checks that an idle primary's skipped sync
+// and spool rounds decide from the activity count and epoch alone: they
+// take no snapshot of the primary's state. Rounds after ingest, and forced
+// rounds, still capture it.
+func TestSkippedRoundsCaptureNoState(t *testing.T) {
+	spool, err := durable.Open(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var primary *countingSampler
+	opts := Options{Replicas: 1, SyncInterval: time.Hour, SpoolInterval: time.Hour, Spool: spool}
+	srv, err := Listen("127.0.0.1:0", 1, opts, func(_, member int) netsim.CoordinatorNode {
+		node := &countingSampler{InfiniteCoordinator: core.NewInfiniteCoordinator(8)}
+		if member == 0 {
+			primary = node
+		}
+		return node
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	g := srv.groups[0]
+	rounds := func(n int) int64 {
+		t.Helper()
+		before := primary.snapshots.Load()
+		for i := 0; i < n; i++ {
+			if err := g.syncRound(srv.opts, false); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.spoolGroup(g, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return primary.snapshots.Load() - before
+	}
+
+	if got := rounds(1); got != 2 {
+		t.Fatalf("first sync and spool rounds took %d snapshots, want 2", got)
+	}
+	if got := rounds(3); got != 0 {
+		t.Fatalf("skipped rounds on an idle primary took %d snapshots, want 0", got)
+	}
+	client, err := wire.DialSiteOptions(core.NewInfiniteSite(0, hashing.NewMurmur2(3)), srv.GroupAddrs()[0][0],
+		wire.Options{BatchSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if err := client.Observe(string(rune('a'+i%26))+string(rune('0'+i%10)), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := client.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rounds(3); got != 2 {
+		t.Fatalf("rounds after ingest took %d snapshots, want 2 (one sync, one spool)", got)
+	}
+	before := primary.snapshots.Load()
+	if err := srv.SyncNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SpoolNow(); err != nil {
+		t.Fatal(err)
+	}
+	if got := primary.snapshots.Load() - before; got != 2 {
+		t.Fatalf("forced rounds took %d snapshots, want 2", got)
 	}
 }
 

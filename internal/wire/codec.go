@@ -126,9 +126,10 @@ var nameToBin = map[string]byte{
 // caller writes); each side owns its own scratch state.
 //
 // WriteFrame may buffer; Flush pushes everything buffered to the wire.
-// Callers must Flush before blocking on a response — the site client's writer
-// exploits this to coalesce several frames into one syscall, flushing only
-// when it is about to wait for credits.
+// Callers must Flush before blocking on a response. The site client's writer
+// uses this to coalesce frames into one syscall: it flushes a batch frame at
+// once only when no flushed frame awaits its ack, and otherwise holds it
+// until that ack returns or until it must wait for credits.
 type frameConn interface {
 	ReadFrame(f *Frame) error
 	WriteFrame(f *Frame) error

@@ -33,11 +33,21 @@ import (
 // the reply queue: at most Window replies frames arrive between two writer
 // calls.
 //
+// Batch frames leave by Nagle's rule (RFC 896): a frame that ships while no
+// flushed frame waits for its ack is flushed at once, so the site hears the
+// coordinator's threshold one round trip later rather than one window later;
+// a frame that ships behind frames in flight is held in the codec's write
+// buffer, and every frame held by the time their ack returns leaves in one
+// flush at the writer's next call. A one-frame window ships every frame into
+// an empty wire.
+//
 // SiteClient.mu guards only what the reader shares with the writer: the
-// fields below except ready and wireDirty, and the client's message
-// counters. The actual WriteFrame and ReadFrame calls run unlocked so that a
-// blocked TCP write can never prevent the reader from draining replies (the
-// classic pipelined deadlock). The codec keeps separate read and write
+// fields below except ready, and the client's message counters. The reader
+// reads the writer's sendSeq and flushedSeq under it, and the writer moves
+// both under it. The actual WriteFrame, Flush and ReadFrame calls run
+// unlocked so that a blocked TCP write can never prevent the reader from
+// draining replies (the classic pipelined deadlock), and only the writer
+// writes or flushes the connection. The codec keeps separate read and write
 // scratch buffers for the same reason.
 type pipeline struct {
 	cond    *sync.Cond // signals credit returns and failures; cond.L == &SiteClient.mu
@@ -81,12 +91,14 @@ type pipeline struct {
 	spare   []queuedReply
 	ready   atomic.Bool
 
-	// wireDirty marks batch frames written but not yet flushed to the
-	// socket. Owned by the writer goroutine. Keeping frames buffered while
-	// credits remain lets a whole window ride one syscall; the writer MUST
-	// flush before blocking on credits or draining, or the coordinator
-	// never sees the batches it is expected to ack.
-	wireDirty bool
+	// flushedSeq is sendSeq as of the writer's last flush. Frames
+	// [ackSeq, flushedSeq) are on the wire, and frames [flushedSeq, sendSeq)
+	// are held in the write buffer. The wire is empty once ackSeq reaches
+	// flushedSeq (or passes it: a write buffer that fills writes through).
+	// The writer MUST flush held frames before blocking on credits or
+	// draining, or the coordinator never sees the batches it is expected to
+	// ack.
+	flushedSeq uint64
 }
 
 // queuedReply is one coordinator reply awaiting the writer, with the slot of
@@ -98,6 +110,25 @@ type queuedReply struct {
 
 // inflight returns the number of unacknowledged batches. Callers hold mu.
 func (p *pipeline) inflight() int { return int(p.sendSeq - p.ackSeq) }
+
+// wireEmpty reports whether no flushed frame waits for its ack. Callers hold
+// mu.
+func (p *pipeline) wireEmpty() bool { return p.ackSeq >= p.flushedSeq }
+
+// held reports whether batch frames wait unflushed in the write buffer.
+// Callers hold mu.
+func (p *pipeline) held() bool { return p.sendSeq > p.flushedSeq }
+
+// release moves the watermark past every held frame and reports whether
+// there were any; the caller flushes them once it has dropped mu. Callers
+// hold mu.
+func (p *pipeline) release() bool {
+	if !p.held() {
+		return false
+	}
+	p.flushedSeq = p.sendSeq
+	return true
+}
 
 // failPipe records the pipeline's first error, raises ready so the writer's
 // next call finds it, and wakes every waiter. Callers must hold mu.
@@ -120,17 +151,24 @@ func (c *SiteClient) fail(err error) error {
 // applyReplies takes the reply queue and feeds it into the site node on the
 // writer's goroutine, buffering any offers the node emits in response, and
 // then returns the pipeline's sticky error, if any: replies that arrived
-// before a failure still reach the node.
+// before a failure still reach the node. On a healthy pipeline whose wire
+// has emptied it first flushes the frames held behind the ack; a failed
+// pipeline never flushes.
 func (c *SiteClient) applyReplies() error {
 	p := &c.pipe
 	c.mu.Lock()
 	queue := p.replies
 	p.replies, p.spare = p.spare[:0], queue[:0]
 	err := p.err
+	release := false
 	if err == nil {
 		p.ready.Store(false)
+		release = p.wireEmpty() && p.release()
 	}
 	c.mu.Unlock()
+	if release {
+		err = c.flushBatches()
+	}
 	for _, r := range queue {
 		c.scratch.Reset()
 		c.node.OnMessage(r.msg, r.slot, &c.scratch)
@@ -139,6 +177,15 @@ func (c *SiteClient) applyReplies() error {
 		}
 	}
 	return err
+}
+
+// flushBatches pushes the batch frames in the codec's write buffer to the
+// socket. Only the writer calls it.
+func (c *SiteClient) flushBatches() error {
+	if err := c.fc.Flush(); err != nil {
+		return c.fail(fmt.Errorf("wire: flush batches: %w", err))
+	}
+	return nil
 }
 
 // buffer appends the scratch outbox's messages to the pending buffer and
@@ -159,29 +206,22 @@ func (c *SiteClient) buffer(slot int64) error {
 // It sends only full batches unless all is set, waits for a credit when the
 // window is full (backpressure), and never holds mu across a write.
 //
-// Writes are buffered by the codec; ship flushes only when it is about to
-// block (window full) or return — so a burst of credits lets several batch
-// frames ride one syscall, and the coordinator always sees every shipped
-// frame before the writer goes to sleep (no flush, no progress, deadlock).
+// Writes are buffered by the codec. A frame that ships into an empty wire is
+// flushed at once, together with any frames still held; one that ships
+// behind frames in flight stays buffered until their ack empties the wire
+// (applyReplies flushes it then). ship also flushes every held frame before
+// it blocks on a full window and when it drains (all), so the coordinator
+// always sees every shipped frame before the writer goes to sleep (no flush,
+// no progress, deadlock).
 func (c *SiteClient) ship(all bool) error {
 	batchSize := c.opts.BatchSize
-	flushWire := func() error {
-		if !c.pipe.wireDirty {
-			return nil
-		}
-		c.pipe.wireDirty = false
-		if err := c.fc.Flush(); err != nil {
-			return c.fail(fmt.Errorf("wire: flush batches: %w", err))
-		}
-		return nil
-	}
 	for {
 		c.mu.Lock()
 		stalledAt, stallEnd := int64(0), int64(0)
 		for c.pipe.inflight() >= c.opts.Window && c.pipe.err == nil {
-			if c.pipe.wireDirty {
+			if c.pipe.release() {
 				c.mu.Unlock()
-				if err := flushWire(); err != nil {
+				if err := c.flushBatches(); err != nil {
 					return err
 				}
 				c.mu.Lock()
@@ -206,11 +246,12 @@ func (c *SiteClient) ship(all bool) error {
 		}
 		n := len(c.pending)
 		if n == 0 || (!all && n < batchSize) {
+			// Held frames wait for the ack that empties the wire; only a
+			// drain (all) forces them out now.
+			release := all && c.pipe.release()
 			c.mu.Unlock()
-			// While credits remain, frames stay buffered for coalescing;
-			// only a drain (all) forces them out now.
-			if all {
-				return flushWire()
+			if release {
+				return c.flushBatches()
 			}
 			return nil
 		}
@@ -231,6 +272,9 @@ func (c *SiteClient) ship(all bool) error {
 		c.pending = c.pending[:rest]
 		seq := c.pipe.sendSeq
 		c.pipe.sendSeq++
+		// Nagle's rule: into an empty wire the frame leaves at once, with
+		// any frames held before it; behind frames in flight it is held.
+		flushNow := c.pipe.wireEmpty() && c.pipe.release()
 		// Trace decision at ship time: a sampled batch's context rides the
 		// frame, joins the traces FIFO for the reader's site_ack span, and
 		// closes the assembly (site_batch) and credit-wait spans here.
@@ -265,14 +309,21 @@ func (c *SiteClient) ship(all bool) error {
 		if tc.Sampled() {
 			obs.StageSpan(tc, obs.StageSiteWrite, writeStart, nowNanos())
 		}
-		c.pipe.wireDirty = true
+		if flushNow {
+			if err := c.flushBatches(); err != nil {
+				return err
+			}
+		}
 	}
 }
 
 // readLoop is the dedicated reply reader of a site connection. It verifies
 // reply sequencing, queues replies for the writer (it never calls the site
-// node), returns credits, and hands route pushes to the callback. It exits
-// on the first error or when the connection closes.
+// node), returns credits, and hands route pushes to the callback. When an
+// ack empties the wire while frames are held, it raises ready so that the
+// writer flushes them at its next call; the reader itself never writes or
+// flushes the connection. It exits on the first error or when the connection
+// closes.
 func (c *SiteClient) readLoop() {
 	defer close(c.pipe.done)
 	var f Frame
@@ -324,10 +375,10 @@ func (c *SiteClient) readLoop() {
 			for _, reply := range f.Msgs {
 				c.pipe.replies = append(c.pipe.replies, queuedReply{msg: reply, slot: slot})
 			}
-			if len(f.Msgs) > 0 {
+			c.pipe.ackSeq = f.Seq + 1
+			if len(f.Msgs) > 0 || (c.pipe.wireEmpty() && c.pipe.held()) {
 				c.pipe.ready.Store(true)
 			}
-			c.pipe.ackSeq = f.Seq + 1
 			c.pipe.cond.Broadcast()
 			c.mu.Unlock()
 		case FrameRoutePush:

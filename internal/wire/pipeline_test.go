@@ -162,7 +162,10 @@ func TestPipelinedSlidingWindowEndToEnd(t *testing.T) {
 // paper's dialogue: with one frame in flight (Window 0 or 1) and one offer
 // per frame, a site and a coordinator over TCP exchange exactly the messages
 // the sequential engine of record counts, and the coordinator ends with the
-// engine's sample.
+// engine's sample. The window8 rows hold a deep window to the same count:
+// each waits for its frame's ack before the next arrival, so every frame
+// ships into an empty wire and must leave at once, not wait in the write
+// buffer for the window to fill.
 func TestOneFrameWindowMatchesSequentialEngine(t *testing.T) {
 	const (
 		s      = 16
@@ -190,13 +193,14 @@ func TestOneFrameWindowMatchesSequentialEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, win := range []int{0, 1} {
+		for _, win := range []int{0, 1, 8} {
 			t.Run(fmt.Sprintf("%s/binary/window%d", p.name, win), func(t *testing.T) {
 				srv, addr := startServer(t, p.coord())
 				client, err := DialSiteOptions(p.site(), addr, Options{BatchSize: 1, Window: win})
 				if err != nil {
 					t.Fatal(err)
 				}
+				sent := 0
 				for i, a := range arrivals {
 					if err := client.Observe(a.Key, a.Slot); err != nil {
 						t.Fatal(err)
@@ -205,6 +209,13 @@ func TestOneFrameWindowMatchesSequentialEngine(t *testing.T) {
 						if err := client.EndSlot(a.Slot); err != nil {
 							t.Fatal(err)
 						}
+					}
+					if win <= 1 || client.MessagesSent() == sent {
+						continue
+					}
+					sent = client.MessagesSent()
+					if !waitPipe(client, 5*time.Second, func(pl *pipeline) bool { return pl.inflight() == 0 }) {
+						t.Fatalf("arrival %d: the frame it shipped into an empty wire was not acked within 5s", i)
 					}
 				}
 				if err := client.Close(); err != nil {
@@ -222,6 +233,27 @@ func TestOneFrameWindowMatchesSequentialEngine(t *testing.T) {
 			})
 		}
 	}
+}
+
+// waitPipe blocks until done holds for c's pipeline or the pipeline fails,
+// giving up after d, and reports whether done held. done runs under c.mu and
+// is re-checked at every ack and failure, which broadcast the pipeline's
+// condition variable.
+func waitPipe(c *SiteClient, d time.Duration, done func(*pipeline) bool) bool {
+	expired := false
+	timer := time.AfterFunc(d, func() {
+		c.mu.Lock()
+		expired = true
+		c.pipe.cond.Broadcast()
+		c.mu.Unlock()
+	})
+	defer timer.Stop()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for !done(&c.pipe) && c.pipe.err == nil && !expired {
+		c.pipe.cond.Wait()
+	}
+	return done(&c.pipe)
 }
 
 // TestPipelinedAtLeast1_3xSyncBatched is the perf acceptance check of deep
@@ -311,6 +343,81 @@ type gatedCoordinator struct {
 func (g *gatedCoordinator) OnMessage(msg netsim.Message, slot int64, out *netsim.Outbox) {
 	<-g.gate
 	g.CoordinatorNode.OnMessage(msg, slot, out)
+}
+
+// silentCoordinator runs a coordinator node and drops its replies, so every
+// batch frame is answered by a bare ack.
+type silentCoordinator struct {
+	netsim.CoordinatorNode
+}
+
+func (s silentCoordinator) OnMessage(msg netsim.Message, slot int64, _ *netsim.Outbox) {
+	var dropped netsim.Outbox
+	s.CoordinatorNode.OnMessage(msg, slot, &dropped)
+}
+
+// TestHeldFramesLeaveAfterAck pins both halves of the batch-frame flush
+// policy. While one frame is on the wire, the frames shipped behind it stay
+// in the write buffer. Once its ack empties the wire, the writer's next call
+// flushes them, even a call that ships nothing, and the coordinator acks
+// them without a Flush and with the window never full. The replies are bare
+// acks, so only the empty wire, not a reply to apply, can wake the writer.
+func TestHeldFramesLeaveAfterAck(t *testing.T) {
+	const batchSize, window = 2, 8
+	gate := make(chan struct{})
+	coord := &gatedCoordinator{CoordinatorNode: silentCoordinator{core.NewInfiniteCoordinator(16)}, gate: gate}
+	_, addr := startServer(t, coord)
+	client, err := DialSiteOptions(&floodSite{id: 0, hasher: hashing.NewMurmur2(3)}, addr,
+		Options{BatchSize: batchSize, Window: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = client.Close() })
+	// Cleanups run last-registered first: the gate opens before the client
+	// drains and the server closes, whichever check failed.
+	var openGate sync.Once
+	t.Cleanup(func() { openGate.Do(func() { close(gate) }) })
+	buffered := client.fc.(*binConn).w.Buffered
+	observe := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := client.Observe(fmt.Sprintf("held-%d", i), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	shipped := func() uint64 {
+		client.mu.Lock()
+		defer client.mu.Unlock()
+		return client.pipe.sendSeq
+	}
+
+	// Frame 0 ships into an empty wire and leaves at once; the closed gate
+	// keeps its ack back. Frames 1-3 ship behind it: written, but held in
+	// the write buffer.
+	observe(0, 8)
+	if frames, n := shipped(), buffered(); frames != 4 || n == 0 {
+		t.Fatalf("behind a frame in flight: %d frames shipped, %d bytes buffered; want 4, the last 3 unflushed", frames, n)
+	}
+
+	openGate.Do(func() { close(gate) })
+	if !waitPipe(client, 5*time.Second, func(p *pipeline) bool { return p.ackSeq >= 1 }) {
+		t.Fatal("frame 0 was not acked within 5s of the gate opening")
+	}
+	if n := buffered(); n == 0 {
+		t.Fatal("held frames left the write buffer before the writer's next call")
+	}
+	// Half a batch: this call ships no frame, yet it flushes the held ones.
+	observe(8, 9)
+	if n := buffered(); n != 0 {
+		t.Fatalf("after the ack: %d bytes still buffered; want the held frames flushed", n)
+	}
+	if !waitPipe(client, 5*time.Second, func(p *pipeline) bool { return p.ackSeq == p.sendSeq }) {
+		t.Fatal("the coordinator did not ack the released frames within 5s")
+	}
+	if sent := client.MessagesSent(); sent != 8 {
+		t.Fatalf("sent %d offers, want 8 (four full frames)", sent)
+	}
 }
 
 // TestPipelinedBackpressure checks the credit window's memory bound: with a

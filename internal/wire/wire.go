@@ -489,6 +489,14 @@ func (s *CoordinatorServer) SnapshotSync() (st core.State, ok bool, slot int64, 
 	return sn.Snapshot(), true, s.lastSlot, s.stats.offers + s.mutations
 }
 
+// Activity returns SnapshotSync's activity counter without capturing any
+// state, so a syncer can tell an idle primary before paying for a snapshot.
+func (s *CoordinatorServer) Activity() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats.offers + s.mutations
+}
+
 func (s *CoordinatorServer) acceptLoop() {
 	defer s.wg.Done()
 	for {
@@ -1078,8 +1086,11 @@ type Options struct {
 	// Flush/EndSlot/Close drain it completely, so slot boundaries and
 	// shutdown stay exact. 0 or 1 keeps one frame in flight: each frame is
 	// flushed and acknowledged before the next ships, which is the
-	// request/response dialogue. DefaultWindow is a good starting point on
-	// localhost; see the README for tuning guidance.
+	// request/response dialogue. At any depth a frame that ships while no
+	// flushed frame awaits its ack leaves at once; frames that ship behind
+	// frames in flight leave together once their ack returns.
+	// DefaultWindow is a good starting point on localhost; see the README
+	// for tuning guidance.
 	Window int
 	// OnRoutePush, when set, receives server-initiated route-push frames: the
 	// coordinator broadcasting a new routing table mid-reshard so connected
