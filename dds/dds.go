@@ -700,8 +700,8 @@ func snapshotGroup(ctx context.Context, members []string) (core.State, error) {
 		return core.State{}, err
 	}
 	var st core.State
-	err := cluster.WithGroupPrimary(members, wire.CodecBinary, func(addr string) error {
-		s, err := wire.SnapshotAddr(addr, wire.CodecBinary)
+	err := cluster.WithGroupPrimary(members, wire.CodecBinary, func(c *wire.SyncClient) error {
+		s, _, _, err := c.FetchState()
 		if err == nil {
 			st = s
 		}

@@ -25,8 +25,9 @@
 //     the shard's substream (O(k·s·ln(d_c)) messages for shard c with d_c
 //     distinct keys).
 //   - Merge unions per-shard samples into the exact global bottom-s at query
-//     time; MergedThreshold and DistinctCount feed internal/estimate for
-//     cluster-wide answers.
+//     time, in one linear merge of the shards' hash-ordered samples that
+//     stops at s entries; MergedThreshold and DistinctCount feed
+//     internal/estimate for cluster-wide answers.
 //
 // For the sliding-window protocol the same merge applies with s = 1 per
 // shard: the global window sample is the minimum-hash live entry across the
@@ -34,8 +35,10 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/estimate"
 	"repro/internal/hashing"
@@ -103,38 +106,82 @@ func (r *ShardRouter) Shard(key string) int {
 	return r.table.Lookup(r.RouteHash(key))
 }
 
-// Merge unions per-shard samples and returns the bottom-s of the union,
-// ordered by ascending hash — exactly the global sample a single coordinator
-// over the whole stream would hold, provided the shard samples come from a
-// disjoint partition of the key space under the same hash function AND
-// sampleSize does not exceed any shard's own sketch capacity: a shard only
-// retains its bottom-s, so asking the merge for more than s entries can
-// silently substitute larger hashes for a shard's discarded ones.
+// Merge unions per-shard samples and returns the bottom-s of the union in
+// ascending (Hash, Key) order — exactly the global sample a single
+// coordinator over the whole stream would hold, provided the shard samples
+// come from a disjoint partition of the key space under the same hash
+// function AND sampleSize does not exceed any shard's own sketch capacity: a
+// shard only retains its bottom-s, so asking the merge for more than s
+// entries can silently substitute larger hashes for a shard's discarded ones.
 // sampleSize <= 0 keeps the whole union (useful for sliding-window merges,
 // where each shard contributes at most one live entry and the global sample
 // is the overall minimum).
+//
+// A key held by several inputs (replicas of one shard, or a shard read
+// twice) appears once, with the copy from the lowest-indexed input, so its
+// Expiry is that input's. One hash function gives a key the same hash in
+// every input; duplicates are recognised by key and hash together, so a key
+// that arrived with two different hashes, which no single hasher produces,
+// would appear twice.
+//
+// Shard samples arrive in hash order (a coordinator keeps its bottom-s
+// sorted), so Merge is one linear k-way merge that stops after sampleSize
+// entries: each entry taken costs one scan over the C inputs' heads, and
+// nothing is sorted. An input out of (Hash, Key) order — distinct keys tied
+// on a hash sit in insertion order in a coordinator's sketch — is merged
+// from a sorted copy. The inputs are never modified and the result never
+// aliases them; it is nil when the inputs hold no entries.
 func Merge(sampleSize int, shardSamples ...[]netsim.SampleEntry) []netsim.SampleEntry {
-	var union []netsim.SampleEntry
-	seen := make(map[string]struct{})
+	// The heads are a copy: a caller passing samples... shares its slice
+	// with shardSamples, and advancing its elements would rewrite it.
+	heads := make([][]netsim.SampleEntry, 0, len(shardSamples))
+	total := 0
 	for _, sample := range shardSamples {
-		for _, e := range sample {
-			if _, dup := seen[e.Key]; dup {
-				continue
+		if len(sample) == 0 {
+			continue
+		}
+		if !slices.IsSortedFunc(sample, compareEntries) {
+			sample = slices.Clone(sample)
+			slices.SortFunc(sample, compareEntries)
+		}
+		heads = append(heads, sample)
+		total += len(sample)
+	}
+	if total == 0 {
+		return nil
+	}
+	if sampleSize > 0 && total > sampleSize {
+		total = sampleSize
+	}
+	merged := make([]netsim.SampleEntry, 0, total)
+	for len(merged) < total {
+		// The strict comparison keeps the lowest-indexed input's copy of a
+		// duplicate first; the copies behind it are adjacent and dropped.
+		next := -1
+		for i, h := range heads {
+			if len(h) > 0 && (next < 0 || compareEntries(h[0], heads[next][0]) < 0) {
+				next = i
 			}
-			seen[e.Key] = struct{}{}
-			union = append(union, e)
 		}
-	}
-	sort.Slice(union, func(i, j int) bool {
-		if union[i].Hash != union[j].Hash {
-			return union[i].Hash < union[j].Hash
+		if next < 0 {
+			break
 		}
-		return union[i].Key < union[j].Key
-	})
-	if sampleSize > 0 && len(union) > sampleSize {
-		union = union[:sampleSize]
+		e := heads[next][0]
+		heads[next] = heads[next][1:]
+		if n := len(merged); n > 0 && merged[n-1].Key == e.Key && merged[n-1].Hash == e.Hash {
+			continue
+		}
+		merged = append(merged, e)
 	}
-	return union
+	return merged
+}
+
+// compareEntries orders sample entries by ascending hash, ties by key.
+func compareEntries(a, b netsim.SampleEntry) int {
+	if c := cmp.Compare(a.Hash, b.Hash); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Key, b.Key)
 }
 
 // MergeWindow unions per-shard sliding-window candidate sets, drops entries
@@ -157,7 +204,7 @@ func MergeWindow(now int64, shardSamples ...[]netsim.SampleEntry) []netsim.Sampl
 			if e.Expiry < now {
 				continue
 			}
-			if !have || e.Hash < best.Hash || (e.Hash == best.Hash && e.Key < best.Key) {
+			if !have || compareEntries(e, best) < 0 {
 				best, have = e, true
 			}
 		}

@@ -1097,49 +1097,57 @@ func readGroups(groups [][]string, what string, read func(members []string) ([]n
 
 // WithGroupPrimary runs op against a replica group's current primary: it
 // probes members for the group epoch (the promotion scheme numbers epochs
-// by member index, so the probed epoch names the primary), runs op against
-// that member, and falls back to the probed member itself — whose state is
-// at most one sync interval stale — when the supposed primary is
-// unreachable (the mid-failover gap). It is the one shared implementation
-// of the primary-resolution walk; queries, snapshots, and the dds package
-// all route through it so a change to the epoch-numbering scheme cannot
-// desynchronize callers.
-func WithGroupPrimary(members []string, codec wire.Codec, op func(addr string) error) error {
-	var lastErr error
-	for j, addr := range members {
-		epoch, err := wire.ProbeEpoch(addr, codec)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		target := j
-		if int(epoch) < len(members) {
-			target = int(epoch)
-		}
-		if err := op(members[target]); err == nil {
+// by member index, so the probed epoch names the primary) and hands op a
+// connection to that member. When the probed member names itself, which
+// every healthy read's first probe does, op runs on the probe's own
+// connection, so a read costs one connection per shard. When it names
+// another member, op runs on a connection to that member, and falls back to
+// the still-open probe connection — whose state is at most one sync interval
+// stale — when the supposed primary is unreachable (the mid-failover gap).
+// Every connection the walk opens is closed before it returns, so op must
+// not keep the client. It is the one shared implementation of the
+// primary-resolution walk; queries, snapshots, and the dds package all route
+// through it so a change to the epoch-numbering scheme cannot desynchronize
+// callers.
+func WithGroupPrimary(members []string, codec wire.Codec, op func(*wire.SyncClient) error) error {
+	err := ErrNoShards
+	for j := range members {
+		if err = withMemberPrimary(members, j, codec, op); err == nil {
 			return nil
-		} else {
-			lastErr = err
-		}
-		if target != j {
-			if err := op(addr); err == nil {
-				return nil
-			} else {
-				lastErr = err
-			}
 		}
 	}
-	if lastErr == nil {
-		lastErr = ErrNoShards
+	return err
+}
+
+// withMemberPrimary is one step of WithGroupPrimary's walk: probe members[j]
+// and run op on the primary it names, or on the probe connection itself.
+func withMemberPrimary(members []string, j int, codec wire.Codec, op func(*wire.SyncClient) error) error {
+	probe, err := wire.DialSync(members[j], codec)
+	if err != nil {
+		return err
 	}
-	return lastErr
+	defer probe.Close()
+	epoch, err := probe.Promote(0)
+	if err != nil {
+		return err
+	}
+	if epoch >= uint64(len(members)) || int(epoch) == j {
+		return op(probe)
+	}
+	if primary, err := wire.DialSync(members[epoch], codec); err == nil {
+		defer primary.Close()
+		if op(primary) == nil {
+			return nil
+		}
+	}
+	return op(probe)
 }
 
 // queryGroup returns one shard's sample, preferring the current primary.
 func queryGroup(members []string, codec wire.Codec) ([]netsim.SampleEntry, error) {
 	var sample []netsim.SampleEntry
-	err := WithGroupPrimary(members, codec, func(addr string) error {
-		s, err := wire.QueryWith(addr, codec)
+	err := WithGroupPrimary(members, codec, func(c *wire.SyncClient) error {
+		s, err := c.Query()
 		if err == nil {
 			sample = s
 		}
@@ -1159,8 +1167,8 @@ func queryGroup(members []string, codec wire.Codec) ([]netsim.SampleEntry, error
 func QueryWindowGroups(groups [][]string, now int64, codec wire.Codec) ([]netsim.SampleEntry, error) {
 	candidates, err := readGroups(groups, "window query", func(members []string) ([]netsim.SampleEntry, error) {
 		var entries []netsim.SampleEntry
-		err := WithGroupPrimary(members, codec, func(addr string) error {
-			st, err := wire.SnapshotAddr(addr, codec)
+		err := WithGroupPrimary(members, codec, func(c *wire.SyncClient) error {
+			st, _, _, err := c.FetchState()
 			if err != nil {
 				return err
 			}

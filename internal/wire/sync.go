@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 )
 
@@ -85,9 +86,10 @@ func coordError(f *Frame) error {
 
 // SyncClient speaks the control half of the protocol to one coordinator
 // server: state-frame pushes (primary → replica), promote/probe exchanges
-// (failover clients → replica), lease renewals, and the reshard driver's
-// route-update, state-handoff, and snapshot requests. One SyncClient is used
-// by one goroutine at a time.
+// (failover clients → replica), lease renewals, cluster.Resharder's
+// route-update, state-handoff, and snapshot requests, and the read path's
+// query exchange, so a read can probe a member's epoch and read its sample
+// on one connection. One SyncClient is used by one goroutine at a time.
 type SyncClient struct {
 	conn   io.Closer
 	fc     frameConn
@@ -236,6 +238,40 @@ func (c *SyncClient) FetchState() (st core.State, epoch uint64, slot int64, err 
 	default:
 		return core.State{}, 0, 0, errors.New("wire: unexpected frame " + c.rframe.Type)
 	}
+}
+
+// Query requests the server's current distinct sample (a query frame
+// answered by a sample frame) and returns its entries in the server's order.
+func (c *SyncClient) Query() ([]netsim.SampleEntry, error) {
+	if err := writeFlush(c.fc, &Frame{Type: FrameQuery}); err != nil {
+		return nil, fmt.Errorf("wire: query: %w", err)
+	}
+	// A fresh frame, not rframe: the decoder reuses a frame's entry slice,
+	// so entries read into rframe would be overwritten by the next read.
+	var resp Frame
+	if err := c.fc.ReadFrame(&resp); err != nil {
+		return nil, fmt.Errorf("wire: read sample: %w", err)
+	}
+	switch resp.Type {
+	case FrameSample:
+		return resp.Entries, nil
+	case FrameError:
+		return nil, coordError(&resp)
+	default:
+		return nil, errors.New("wire: unexpected frame " + resp.Type)
+	}
+}
+
+// QueryWith dials the coordinator at addr, bounded like every sync dial,
+// and returns its current distinct sample over that one short-lived
+// connection.
+func QueryWith(addr string, codec Codec) ([]netsim.SampleEntry, error) {
+	c, err := DialSync(addr, codec)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	return c.Query()
 }
 
 // SnapshotAddr dials addr, fetches the coordinator's full state, and returns

@@ -1380,28 +1380,3 @@ func (c *SiteClient) routePush(f *Frame) {
 		obs.StageSpan(tc, obs.StageRoutePush, start, nowNanos())
 	}
 }
-
-// QueryWith opens a short-lived connection to the coordinator at addr and
-// returns its current distinct sample.
-func QueryWith(addr string, codec Codec) ([]netsim.SampleEntry, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: dial: %w", err)
-	}
-	defer conn.Close()
-	fc := clientConn(conn)
-	if err := writeFlush(fc, &Frame{Type: FrameQuery}); err != nil {
-		return nil, fmt.Errorf("wire: query: %w", err)
-	}
-	var resp Frame
-	if err := fc.ReadFrame(&resp); err != nil {
-		return nil, fmt.Errorf("wire: read sample: %w", err)
-	}
-	if resp.Type == FrameError {
-		return nil, coordError(&resp)
-	}
-	if resp.Type != FrameSample {
-		return nil, errors.New("wire: unexpected frame " + resp.Type)
-	}
-	return resp.Entries, nil
-}
