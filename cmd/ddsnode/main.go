@@ -50,7 +50,9 @@
 //	ddsnode -role cluster-coordinator -shards 2 -data-dir /var/lib/dds \
 //	        -snap-interval 500ms -snap-retain 5 -listen 127.0.0.1:7070
 //
-// All nodes of one deployment must share -hash-seed, -sample, and -window.
+// All nodes of one deployment must share -hash-seed, -sample, and -window. An
+// infinite-window coordinator refuses a site whose -sample differs from its
+// own before the site's first offer lands.
 // (-window is the sliding-window length in slots, a protocol parameter;
 // -pipeline is the transport's batch-frames-in-flight credit window.)
 package main

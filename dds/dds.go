@@ -453,12 +453,15 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Client, error) {
 	}
 	// The sites filter with the router's own hasher, so each arrival is
 	// hashed once: the digest that picks the shard feeds the site's filter.
+	// Infinite-window sites also filter against the s-th smallest hash they
+	// have offered, so each announces SampleSize at hello, and a coordinator
+	// of another sample size refuses it (wire.ErrSampleSize).
 	hasher := router.Hasher()
 	newSite := func(shard int) netsim.SiteNode {
 		if cfg.window > 0 {
 			return sliding.NewSite(cfg.SiteID, hasher, cfg.window, uint64(cfg.SiteID*1000+shard)+1)
 		}
-		return core.NewInfiniteSite(cfg.SiteID, hasher)
+		return core.NewBoundedInfiniteSite(cfg.SiteID, hasher, cfg.SampleSize)
 	}
 	type dialed struct {
 		sc  *cluster.SiteClient

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hashing"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // TestPublicAPIInfiniteLifecycle drives the whole public surface end to end
@@ -285,6 +288,75 @@ func TestOpenValidationAndContext(t *testing.T) {
 	cancel()
 	if _, err := dds.Open(cancelled, dds.Config{Coordinators: [][]string{{"127.0.0.1:1"}}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Open with cancelled context returned %v, want context.Canceled", err)
+	}
+}
+
+// TestSampleSizeMismatchRefused pins the hello-time guard: a client opened
+// with a sample size other than its cluster's would drop keys the shards
+// need, so every shard refuses it before any offer lands. The first failing
+// operation returns an error wrapping wire.ErrSampleSize that names both
+// sizes, no coordinator counts an offer, and the client neither reconnects
+// (one hello per shard) nor promotes a replica (no epoch moves).
+func TestSampleSizeMismatchRefused(t *testing.T) {
+	const shards = 2
+	ctx := context.Background()
+	hellos := func() uint64 {
+		snap := obs.Default().Snapshot()
+		return snap.Counter(`dds_wire_frames_decoded_total{kind="hello"}`)
+	}
+	for _, replicas := range []int{0, 1} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			cl, err := dds.Serve(ctx, dds.Config{Listen: "127.0.0.1:0", Shards: shards, SampleSize: 16}, dds.WithReplicas(replicas))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			epochs := func() [][]uint64 {
+				var all [][]uint64
+				for slot := 0; slot < shards; slot++ {
+					all = append(all, cl.Epochs(slot))
+				}
+				return all
+			}
+			epochsBefore, hellosBefore := epochs(), hellos()
+			client, err := dds.Open(ctx, dds.Config{Coordinators: cl.Groups(), SampleSize: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = client.Close() }()
+			// Every shard gets offers, and with one frame in flight a
+			// shard's second offer waits for the first one's answer: every
+			// shard's refusal reaches the client before the loop ends.
+			failed := 0
+			for i := 0; i < 1000; i++ {
+				err := client.Offer(fmt.Sprintf("key-%d", i), 0)
+				if err == nil {
+					continue
+				}
+				if !errors.Is(err, wire.ErrSampleSize) {
+					t.Fatalf("Offer %d returned %v, want an error wrapping wire.ErrSampleSize", i, err)
+				}
+				if msg := err.Error(); !strings.Contains(msg, "sample size 8") || !strings.Contains(msg, "coordinator's 16") {
+					t.Fatalf("error %q does not name both sample sizes", msg)
+				}
+				failed++
+			}
+			if failed == 0 {
+				t.Fatal("every Offer succeeded against a cluster of another sample size")
+			}
+			if err := client.Flush(); !errors.Is(err, wire.ErrSampleSize) {
+				t.Fatalf("Flush returned %v, want an error wrapping wire.ErrSampleSize", err)
+			}
+			if offers, _, _ := cl.Stats(); offers != 0 {
+				t.Fatalf("the cluster counted %d offers from a refused client", offers)
+			}
+			if got := hellos() - hellosBefore; got != shards {
+				t.Fatalf("%d hello frames for %d shards: the refused client reconnected", got, shards)
+			}
+			if got := epochs(); !reflect.DeepEqual(got, epochsBefore) {
+				t.Fatalf("epochs moved from %v to %v: the refused client promoted a member", epochsBefore, got)
+			}
+		})
 	}
 }
 

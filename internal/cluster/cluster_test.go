@@ -21,6 +21,15 @@ import (
 // returns the running server.
 func ingest(t *testing.T, shards, k, s int, hasher hashing.UnitHasher, arrivals []stream.Arrival, opts wire.Options) *Server {
 	t.Helper()
+	return ingestSites(t, shards, k, s, hasher, arrivals, opts, func(id int) netsim.SiteNode {
+		return core.NewInfiniteSite(id, hasher)
+	})
+}
+
+// ingestSites is ingest with the per-shard site nodes of site id built by
+// newSite.
+func ingestSites(t *testing.T, shards, k, s int, hasher hashing.UnitHasher, arrivals []stream.Arrival, opts wire.Options, newSite func(id int) netsim.SiteNode) *Server {
+	t.Helper()
 	srv, err := Listen("127.0.0.1:0", shards, func(int) netsim.CoordinatorNode {
 		return core.NewInfiniteCoordinator(s)
 	})
@@ -38,9 +47,7 @@ func ingest(t *testing.T, shards, k, s int, hasher hashing.UnitHasher, arrivals 
 	errs := make(chan error, k)
 	for site := 0; site < k; site++ {
 		id := site
-		client, err := DialSites(srv.Addrs(), router, func(int) netsim.SiteNode {
-			return core.NewInfiniteSite(id, hasher)
-		}, opts)
+		client, err := DialSites(srv.Addrs(), router, func(int) netsim.SiteNode { return newSite(id) }, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,8 @@ import (
 // closing it before pulling the trigger. Everything after the kill exercises
 // the genuinely hard path: failure detection on live connections, epoch
 // promotion raced by three independent sites, unacked-window replay, and
-// continued routing.
+// continued routing. The bounded rows repeat the pipelined runs with sites
+// that count their own offers (core.NewBoundedInfiniteSite).
 func TestClusterFailoverMatchesReference(t *testing.T) {
 	const (
 		k    = 3
@@ -57,11 +58,19 @@ func TestClusterFailoverMatchesReference(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4} {
-		for _, opts := range []wire.Options{
-			{Codec: wire.CodecBinary, BatchSize: 16},            // one frame in flight
-			{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, // pipelined
+		for _, row := range []struct {
+			opts    wire.Options
+			bounded bool
+		}{
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16}, false},            // one frame in flight
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, false}, // pipelined
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, true},  // pipelined, bounded sites
 		} {
+			opts := row.opts
 			name := fmt.Sprintf("shards=%d window=%d", shards, opts.Window)
+			if row.bounded {
+				name += " bounded"
+			}
 			srv, err := replica.Listen("127.0.0.1:0", shards, replica.Options{
 				Replicas:     1,
 				SyncInterval: 20 * time.Millisecond,
@@ -79,6 +88,9 @@ func TestClusterFailoverMatchesReference(t *testing.T) {
 			for site := 0; site < k; site++ {
 				id := site
 				clients[site], err = DialGroups(groups, router, func(int) netsim.SiteNode {
+					if row.bounded {
+						return core.NewBoundedInfiniteSite(id, hasher, s)
+					}
 					return core.NewInfiniteSite(id, hasher)
 				}, opts)
 				if err != nil {

@@ -37,7 +37,10 @@ import (
 // re-measure the window.
 //
 // Every schedule is deterministic in (C, window) via a seeded RNG, so a
-// failure names a reproducible script.
+// failure names a reproducible script. The bounded rows run the pipelined
+// schedules with sites that count their own offers
+// (core.NewBoundedInfiniteSite), whose merged sample must stay exact across
+// splits, merges and the kill.
 func TestReshardChaosMatchesReference(t *testing.T) {
 	const (
 		k        = 3
@@ -60,11 +63,19 @@ func TestReshardChaosMatchesReference(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4} {
-		for _, opts := range []wire.Options{
-			{Codec: wire.CodecBinary, BatchSize: 16},            // one frame in flight
-			{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, // pipelined
+		for _, row := range []struct {
+			opts    wire.Options
+			bounded bool
+		}{
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16}, false},            // one frame in flight
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, false}, // pipelined
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, true},  // pipelined, bounded sites
 		} {
+			opts := row.opts
 			name := fmt.Sprintf("shards=%d window=%d", shards, opts.Window)
+			if row.bounded {
+				name += " bounded"
+			}
 			rng := rand.New(rand.NewSource(seed + int64(shards)*100 + int64(opts.Window)))
 			router := NewShardRouter(shards, hasher)
 			srv, err := replica.Listen("127.0.0.1:0", shards, replica.Options{
@@ -85,6 +96,9 @@ func TestReshardChaosMatchesReference(t *testing.T) {
 			for site := 0; site < k; site++ {
 				id := site
 				clients[site], err = DialGroups(groups, router, func(int) netsim.SiteNode {
+					if row.bounded {
+						return core.NewBoundedInfiniteSite(id, hasher, s)
+					}
 					return core.NewInfiniteSite(id, hasher)
 				}, opts)
 				if err != nil {

@@ -369,7 +369,9 @@ func noConnection(shard int) error {
 // primary index, a healthy-primary reconnect (a connection-level reset, not
 // a dead server) is attempted at most once per operation, and lease waits
 // and reroutes are budgeted by the retry policy, so the loop terminates.
-// Three recovery paths:
+// wire.ErrSampleSize, a coordinator refusing the site's sample size at
+// hello, is returned at once: no member would accept the site. Three
+// recovery paths:
 //
 //   - wire.ErrStaleRoute: the shard gave the key's range away in a reshard
 //     this client has not applied yet. Spend one budget unit healing —
@@ -413,6 +415,8 @@ func (c *SiteClient) recoverOp(shard int, op func(*wire.SiteClient) error, err e
 			if werr := c.leaseWait(shard, &leaseWaits); werr != nil {
 				return fmt.Errorf("cluster: shard %d: %w (lease: %v)", shard, err, werr)
 			}
+		case errors.Is(err, wire.ErrSampleSize):
+			return fmt.Errorf("cluster: shard %d: %w", shard, err)
 		default:
 			ferr := c.failover(shard)
 			if ferr != nil {
@@ -815,7 +819,12 @@ func (c *SiteClient) maybeApplyRoute() error {
 // (merged under the sampler kind's own union semantics), and each instance
 // is restored to exactly the keys it owns under the new table. Site nodes
 // without snapshots (the infinite-window site's threshold-and-memo state is
-// per-shard-valid as is) are left untouched.
+// per-shard-valid as is) are left untouched. That holds for a bounded site
+// too (core.NewBoundedInfiniteSite): its bound L is the s-th smallest hash of
+// s distinct keys it offered, so after a split moves some of them to another
+// shard, L is still at least the merged sample's threshold, just as a u_j
+// learned before the split is, and an arrival it drops can never enter the
+// merged sample.
 func (c *SiteClient) repartitionSiteState() error {
 	type snap struct {
 		slot int

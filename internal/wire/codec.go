@@ -32,10 +32,11 @@ func (c Codec) String() string { return "binary" }
 // frame layout: "2" added the pipeline sequence number to batch and replies
 // frames, "3" added the trailing trace triple (trace/span ID uvarints plus a
 // flags byte) to the trace-carrying frames — batch, replies, state-frame,
-// route-push, lease-renew — and "4" put the code byte ahead of an error
-// frame's text. A peer speaking an older layout is rejected at the preamble
-// instead of misparsing frames mid-stream.
-var binMagic = [4]byte{'D', 'D', 'S', '4'}
+// route-push, lease-renew — "4" put the code byte ahead of an error frame's
+// text, and "5" added the site's sample size to the hello frame. A peer
+// speaking an older layout is rejected at the preamble instead of misparsing
+// frames mid-stream.
+var binMagic = [4]byte{'D', 'D', 'S', '5'}
 
 // maxFrameSize bounds a binary frame's payload, protecting the server from
 // malformed or hostile length prefixes.
@@ -186,6 +187,7 @@ func (c *binConn) WriteFrame(f *Frame) error {
 	switch code {
 	case binHello:
 		buf = binary.AppendUvarint(buf, uint64(f.Site))
+		buf = binary.AppendUvarint(buf, uint64(f.SampleSize))
 	case binReplies:
 		buf = binary.AppendUvarint(buf, f.Seq)
 		buf = binary.AppendUvarint(buf, uint64(len(f.Msgs)))
@@ -312,6 +314,7 @@ func (c *binConn) ReadFrame(f *Frame) error {
 	switch code {
 	case binHello:
 		f.Site = int(d.uvarint())
+		f.SampleSize = int(d.uvarint())
 	case binReplies:
 		f.Seq = d.uvarint()
 		count := d.uvarint()

@@ -32,6 +32,7 @@ func pipeBin(t *testing.T) (client, server frameConn, cleanup func()) {
 func TestBinaryCodecRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Type: FrameHello, Site: 7},
+		{Type: FrameHello, Site: 2, SampleSize: 64},
 		{Type: FrameBatch, Batch: []BatchEntry{{Slot: -3, Msg: netsim.Message{
 			Kind: netsim.KindOffer, Key: "alpha", Hash: 0.125, U: 0.5, Expiry: 42, Copy: 3, From: -1,
 		}}}},

@@ -20,13 +20,14 @@ import (
 func TestMalformedFrames(t *testing.T) {
 	srv, addr := startServer(t, core.NewInfiniteCoordinator(4))
 
-	// A well-formed hello and batch offering "ghost-dds3", behind the
-	// preamble of the layout before error frames carried a code: the batch
-	// layout is unchanged, so only the preamble keeps its key out of the
-	// sample checked below.
-	dds3 := append([]byte{'D', 'D', 'S', '3'}, encodeFrames(t,
-		Frame{Type: FrameHello},
-		Frame{Type: FrameBatch, Batch: []BatchEntry{{Msg: netsim.Message{Kind: netsim.KindOffer, Key: "ghost-dds3", Hash: 0.001}}}})...)
+	// A hello and a batch offering key, well formed in today's layout, behind
+	// the preamble of an older layout: only the preamble keeps the key out of
+	// the sample checked below.
+	olderPreamble := func(version byte, key string) []byte {
+		return append([]byte{'D', 'D', 'S', version}, encodeFrames(t,
+			Frame{Type: FrameHello},
+			Frame{Type: FrameBatch, Batch: []BatchEntry{{Msg: netsim.Message{Kind: netsim.KindOffer, Key: key, Hash: 0.001}}}})...)
+	}
 	garbage := [][]byte{
 		[]byte("{\"type\":\"offer\",,,\n"),           // JSON-looking but unparsable
 		[]byte("{\"type\": 12}\n{bad json"),          // valid JSON frame then broken stream
@@ -34,8 +35,9 @@ func TestMalformedFrames(t *testing.T) {
 		append(binMagic[:], 2, 0, 0, 0, 0x7f, 0x00),  // unknown frame code
 		{'D', 'D', 'S', '1', 2, 0, 0, 0, 0x02, 0x00}, // stale pre-pipelining peer: rejected at the preamble
 		{'D', 'D', 'S', '2', 2, 0, 0, 0, 0x02, 0x00}, // pre-tracing layout: rejected at the preamble
-		dds3,       // uncoded error frames: rejected at the preamble
-		{'X', 'Y'}, // no preamble at all
+		olderPreamble('3', "ghost-dds3"),             // uncoded error frames: rejected at the preamble
+		olderPreamble('4', "ghost-dds4"),             // hello without a sample size: rejected at the preamble
+		{'X', 'Y'},                                   // no preamble at all
 		// Retired flat-sample state-sync in JSON: a server that still
 		// applied it would put "ghost" into the sample checked below.
 		[]byte(`{"type":"state-sync","entries":[{"Key":"ghost","Hash":0.01}]}` + "\n"),
@@ -50,7 +52,7 @@ func TestMalformedFrames(t *testing.T) {
 	// its key into the sample checked below.
 	garbage = append(garbage,
 		[]byte(`{"type":"hello"}`+"\n"+`{"type":"offer","msg":{"Kind":1,"Key":"ghost-json","Hash":0.001}}`+"\n"),
-		append(append(binMagic[:], lengthPrefixed([]byte{binHello, 0})...), lengthPrefixed(retiredOffer("ghost-binary"))...))
+		append(append(binMagic[:], lengthPrefixed([]byte{binHello, 0, 0})...), lengthPrefixed(retiredOffer("ghost-binary"))...))
 	for i, raw := range garbage {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {

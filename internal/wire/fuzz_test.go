@@ -40,6 +40,7 @@ func corpusFrames() []Frame {
 	}
 	return []Frame{
 		{Type: FrameHello, Site: 4},
+		{Type: FrameHello, Site: 5, SampleSize: 4096},
 		{Type: FrameBatch, Seq: 11, Batch: []BatchEntry{{Slot: -11, Msg: msg}}},
 		{Type: FrameReplies, Seq: 3, Msgs: []netsim.Message{msg, {Kind: netsim.KindThreshold, U: 0.25}}},
 		{Type: FrameQuery},

@@ -235,6 +235,99 @@ func TestOneFrameWindowMatchesSequentialEngine(t *testing.T) {
 	}
 }
 
+// TestBoundedSiteMatchesSequentialEngine pins the bounded site to the paper's
+// zero-delay protocol at every batch size and window: a free-running bounded
+// site over TCP sends exactly the offers the sequential engine counts, and
+// the coordinator ends with the engine's sample, the exact bottom-s. The key
+// with the s-th smallest hash arrives last, when the s-1 keys below it sit in
+// the site's memo, so a bound of rank s-1 would drop it. A site without the
+// bound filters against u = 1 until its first frame's ack returns, and
+// against a lagging u after that; its row records how many more offers that
+// costs.
+func TestBoundedSiteMatchesSequentialEngine(t *testing.T) {
+	const s = 16
+	hasher := hashing.NewMurmur2(7)
+	elements := dataset.Uniform(50000, 8000, 7).Generate()
+	ref := core.NewReference(s, hasher)
+	ref.ObserveAll(stream.Keys(elements))
+	elements = lastArrivals(elements, map[string]bool{ref.SampleKeys()[s-1]: true})
+	arrivals := distribute.Apply(elements, distribute.NewRoundRobin(1))
+	runner := netsim.Runner{Sites: []netsim.SiteNode{core.NewInfiniteSite(0, hasher)}, Coordinator: core.NewInfiniteCoordinator(s)}
+	want, err := runner.RunSequential(arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want.FinalSample, ref.Sample()) {
+		t.Fatal("the engine's sample differs from the reference")
+	}
+	type row struct {
+		batch, window int
+		bounded       bool
+	}
+	rows := []row{{64, 8, false}}
+	for _, batch := range []int{1, 16, 64} {
+		for _, window := range []int{1, 8} {
+			rows = append(rows, row{batch, window, true})
+		}
+	}
+	for _, r := range rows {
+		t.Run(fmt.Sprintf("batch%d/window%d/bounded=%v", r.batch, r.window, r.bounded), func(t *testing.T) {
+			srv, addr := startServer(t, core.NewInfiniteCoordinator(s))
+			site := core.NewInfiniteSite(0, hasher)
+			if r.bounded {
+				site = core.NewBoundedInfiniteSite(0, hasher, s)
+			}
+			client, err := DialSiteOptions(site, addr, Options{BatchSize: r.batch, Window: r.window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range arrivals {
+				if err := client.Observe(a.Key, a.Slot); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := client.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := srv.Sample(); !reflect.DeepEqual(got, want.FinalSample) {
+				t.Errorf("coordinator sample differs from the engine's:\n got: %v\nwant: %v", got, want.FinalSample)
+			}
+			sent := client.MessagesSent()
+			if !r.bounded {
+				// Its first frame alone carries 64 offers, all filtered
+				// against u = 1: more than the engine sends for the same
+				// arrivals.
+				t.Logf("unbounded site sent %d offers, the engine %d", sent, want.UpMessages)
+				if sent <= want.UpMessages {
+					t.Errorf("unbounded site sent %d offers, no more than the engine's %d", sent, want.UpMessages)
+				}
+				return
+			}
+			if sent != want.UpMessages {
+				t.Errorf("bounded site sent %d offers, the engine sent %d", sent, want.UpMessages)
+			}
+		})
+	}
+}
+
+// lastArrivals returns the stream with every occurrence of the keys in last
+// moved to its end, each position keeping its slot.
+func lastArrivals(elements []stream.Element, last map[string]bool) []stream.Element {
+	var head, tail []stream.Element
+	for _, e := range elements {
+		if last[e.Key] {
+			tail = append(tail, e)
+		} else {
+			head = append(head, e)
+		}
+	}
+	out := append(head, tail...)
+	for i := range out {
+		out[i].Slot = elements[i].Slot
+	}
+	return out
+}
+
 // waitPipe blocks until done holds for c's pipeline or the pipeline fails,
 // giving up after d, and reports whether done held. done runs under c.mu and
 // is re-checked at every ack and failure, which broadcast the pipeline's

@@ -48,6 +48,12 @@ var ErrLeaseLapsed = errors.New("wire: primary lease lapsed (offers fenced)")
 // errors.Is, and the public dds package re-exports it.
 var ErrNotSnapshottable = errors.New("wire: coordinator node does not support state snapshots")
 
+// ErrSampleSize is the sample-size fence: a bounded site announced at hello
+// a sample size other than its coordinator's, and the coordinator refused
+// the connection before any offer. Retrying cannot help, so failover layers
+// return it at once. Callers detect it with errors.Is.
+var ErrSampleSize = errors.New("wire: site and coordinator sample sizes differ")
+
 // Error-frame codes: the byte ahead of an error frame's text that types the
 // refusal, so the client restores the sentinel without reading the text.
 // errGeneric, the zero value, marks every refusal without a sentinel.
@@ -56,6 +62,7 @@ const (
 	errStaleRoute
 	errLeaseLapsed
 	errNotSnapshottable
+	errSampleSize
 )
 
 // notSnapshottableFrame is the error frame a node without core.Snapshotter
@@ -78,6 +85,8 @@ func coordError(f *Frame) error {
 		sentinel = ErrLeaseLapsed
 	case errNotSnapshottable:
 		sentinel = ErrNotSnapshottable
+	case errSampleSize:
+		sentinel = ErrSampleSize
 	default:
 		return errors.New("wire: coordinator error: " + f.Error)
 	}

@@ -15,8 +15,8 @@
 // opens with a 4-byte preamble that versions the frame layout, and every
 // frame is a uint32 length followed by a compact tagged payload. An error
 // frame carries a code byte ahead of its text, so a client restores a typed
-// refusal (ErrStaleRoute, ErrLeaseLapsed, ErrNotSnapshottable) without
-// reading the text.
+// refusal (ErrStaleRoute, ErrLeaseLapsed, ErrNotSnapshottable, ErrSampleSize)
+// without reading the text.
 //
 // A batch frame carries up to Options.BatchSize offers and is answered by
 // one replies frame covering all of them, so syscalls and encoding overhead
@@ -64,7 +64,12 @@ type BatchEntry struct {
 type Frame struct {
 	Type string
 	Site int
-	Slot int64
+	// SampleSize is the hello frame's s: the sample size a bounded site
+	// filters with (core.NewBoundedInfiniteSite), or 0 for a site without
+	// the bound. A coordinator whose node has a sample size refuses a
+	// non-zero s that differs from its own with ErrSampleSize.
+	SampleSize int
+	Slot       int64
 	// Seq is the batch sequence number of ingest: each batch frame carries
 	// the site's next sequence number and the coordinator echoes it on the
 	// covering replies frame, so a site streaming several batches without
@@ -139,7 +144,7 @@ func (f *Frame) SetTrace(tc obs.TraceContext) {
 
 // Frame types.
 const (
-	FrameHello   = "hello"   // site -> coordinator: announce site id
+	FrameHello   = "hello"   // site -> coordinator: announce site id and sample size
 	FrameBatch   = "batch"   // site -> coordinator: protocol messages
 	FrameReplies = "replies" // coordinator -> site: the replies to one batch
 	FrameQuery   = "query"   // client -> coordinator: request the sample
@@ -521,6 +526,25 @@ func writeFlush(fc frameConn, f *Frame) error {
 	return fc.Flush()
 }
 
+// sampleSizer is a node with a sample size s: a bounded site announces its s
+// at hello, and a coordinator node with one checks it.
+type sampleSizer interface{ SampleSize() int }
+
+// helloRefusal returns the error frame that refuses a site's hello, or nil to
+// accept it. A bounded site drops every arrival at or above the s-th smallest
+// hash it has offered, so one whose s is below its coordinator's would drop
+// keys the sample needs: a coordinator with a sample size refuses a hello
+// whose non-zero s differs from its own. Sites without the bound announce 0,
+// and nodes without a sample size (the sliding coordinators) accept any.
+func (s *CoordinatorServer) helloRefusal(f *Frame) *Frame {
+	sz, ok := s.node.(sampleSizer)
+	if !ok || f.SampleSize == 0 || f.SampleSize == sz.SampleSize() {
+		return nil
+	}
+	return &Frame{Type: FrameError, errCode: errSampleSize,
+		Error: fmt.Sprintf("hello: site sample size %d differs from the coordinator's %d", f.SampleSize, sz.SampleSize())}
+}
+
 // handle serves one site (or query client) TCP connection.
 func (s *CoordinatorServer) handle(conn net.Conn) {
 	if !s.track(conn) {
@@ -639,6 +663,10 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 		}
 		switch f.Type {
 		case FrameHello:
+			if ef := s.helloRefusal(f); ef != nil {
+				_ = writeFlush(fc, ef)
+				return
+			}
 			siteID = f.Site
 			if !pushRegistered {
 				s.mu.Lock()
@@ -1168,10 +1196,16 @@ func DialSiteOptions(node netsim.SiteNode, addr string, opts Options) (*SiteClie
 	return newSiteClient(node, conn, clientConn(conn), opts)
 }
 
-// newSiteClient announces node's site id on a fresh connection, whose
-// transport conn closes, and starts the client's reply reader.
+// newSiteClient announces node's site id and sample size on a fresh
+// connection, whose transport conn closes, and starts the client's reply
+// reader. A coordinator that refuses the hello answers with an error frame,
+// which the first operation to find the pipeline failed returns.
 func newSiteClient(node netsim.SiteNode, conn io.Closer, fc frameConn, opts Options) (*SiteClient, error) {
-	if err := writeFlush(fc, &Frame{Type: FrameHello, Site: node.ID()}); err != nil {
+	hello := Frame{Type: FrameHello, Site: node.ID()}
+	if sz, ok := node.(sampleSizer); ok {
+		hello.SampleSize = sz.SampleSize()
+	}
+	if err := writeFlush(fc, &hello); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: hello: %w", err)
 	}
