@@ -453,15 +453,21 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Client, error) {
 	}
 	// The sites filter with the router's own hasher, so each arrival is
 	// hashed once: the digest that picks the shard feeds the site's filter.
-	// Infinite-window sites also filter against the s-th smallest hash they
-	// have offered, so each announces SampleSize at hello, and a coordinator
-	// of another sample size refuses it (wire.ErrSampleSize).
+	// Infinite-window sites also filter against one bound for the whole
+	// client, the s-th smallest hash it has offered to any shard, including
+	// the shards a reshard adds later; so the client sends one protocol's
+	// offers, not one per shard, and only the merged sample is exact. Each
+	// announces SampleSize at hello, and a coordinator of another sample
+	// size refuses it (wire.ErrSampleSize).
 	hasher := router.Hasher()
-	newSite := func(shard int) netsim.SiteNode {
-		if cfg.window > 0 {
+	var newSite func(shard int) netsim.SiteNode
+	if cfg.window > 0 {
+		newSite = func(shard int) netsim.SiteNode {
 			return sliding.NewSite(cfg.SiteID, hasher, cfg.window, uint64(cfg.SiteID*1000+shard)+1)
 		}
-		return core.NewBoundedInfiniteSite(cfg.SiteID, hasher, cfg.SampleSize)
+	} else {
+		bound := core.NewBound(cfg.SampleSize)
+		newSite = func(int) netsim.SiteNode { return core.NewSharedInfiniteSite(cfg.SiteID, hasher, bound) }
 	}
 	type dialed struct {
 		sc  *cluster.SiteClient

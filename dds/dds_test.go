@@ -12,8 +12,12 @@ import (
 
 	"repro/dds"
 	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/distribute"
 	"repro/internal/hashing"
+	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/stream"
 	"repro/internal/wire"
 )
 
@@ -157,6 +161,69 @@ func runPlan(t *testing.T, client *dds.Client, plan func() (*dds.ReshardReport, 
 			}
 			time.Sleep(200 * time.Microsecond)
 		}
+	}
+}
+
+// TestOpenSharedBoundAcrossSplit checks that Open gives one client's shard
+// sites one bound, the site of a slot a split adds included. A shard holds
+// only keys the client offered, so its threshold never falls below the
+// client's bound, and one pipelined client over two shards, split into
+// three mid-stream, sends exactly the offers of the sequential engine's one
+// site and one coordinator; its queried sample is the reference's.
+func TestOpenSharedBoundAcrossSplit(t *testing.T) {
+	const (
+		sampleSize = 16
+		seed       = 20130501
+	)
+	ctx := context.Background()
+	cl, err := dds.Serve(ctx, dds.Config{Listen: "127.0.0.1:0", Shards: 2, SampleSize: sampleSize, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	client, err := dds.Open(ctx, dds.Config{Coordinators: cl.Groups(), SampleSize: sampleSize, Seed: seed},
+		dds.WithBatch(64), dds.WithPipelining(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Attach(client)
+
+	hasher := hashing.NewMurmur2(seed)
+	elements := dataset.Uniform(30000, 6000, seed).Generate()
+	arrivals := distribute.Apply(elements, distribute.NewRoundRobin(1))
+	runner := netsim.Runner{Sites: []netsim.SiteNode{core.NewInfiniteSite(0, hasher)}, Coordinator: core.NewInfiniteCoordinator(sampleSize)}
+	want, err := runner.RunSequential(arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offer := func(arrivals []stream.Arrival) {
+		t.Helper()
+		for _, a := range arrivals {
+			if err := client.Offer(a.Key, a.Slot); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := client.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	offer(arrivals[:len(arrivals)/2])
+	runPlan(t, client, func() (*dds.ReshardReport, error) { return cl.Split(0, 0.5) })
+	offer(arrivals[len(arrivals)/2:])
+	if offers, _, _ := cl.Stats(); offers != want.UpMessages {
+		t.Errorf("the client sent %d offers, the engine %d", offers, want.UpMessages)
+	}
+	sample, err := client.Query(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := core.NewReference(sampleSize, hasher)
+	oracle.ObserveAll(stream.Keys(elements))
+	if got := sample.Keys(); !reflect.DeepEqual(got, oracle.SampleKeys()) {
+		t.Errorf("queried sample %v, want the reference's %v", got, oracle.SampleKeys())
+	}
+	if err := client.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -35,7 +35,8 @@ import (
 // the genuinely hard path: failure detection on live connections, epoch
 // promotion raced by three independent sites, unacked-window replay, and
 // continued routing. The bounded rows repeat the pipelined runs with sites
-// that count their own offers (core.NewBoundedInfiniteSite).
+// that count their own offers (core.NewBoundedInfiniteSite), and the
+// shared-bound rows with one bound per client (core.NewSharedInfiniteSite).
 func TestClusterFailoverMatchesReference(t *testing.T) {
 	const (
 		k    = 3
@@ -59,16 +60,20 @@ func TestClusterFailoverMatchesReference(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		for _, row := range []struct {
-			opts    wire.Options
-			bounded bool
+			opts            wire.Options
+			bounded, shared bool
 		}{
-			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16}, false},            // one frame in flight
-			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, false}, // pipelined
-			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, true},  // pipelined, bounded sites
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16}, false, false},            // one frame in flight
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, false, false}, // pipelined
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, true, false},  // pipelined, bounded sites
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, true, true},   // pipelined, one bound per client
 		} {
 			opts := row.opts
 			name := fmt.Sprintf("shards=%d window=%d", shards, opts.Window)
-			if row.bounded {
+			switch {
+			case row.shared:
+				name += " shared bound"
+			case row.bounded:
 				name += " bounded"
 			}
 			srv, err := replica.Listen("127.0.0.1:0", shards, replica.Options{
@@ -87,8 +92,12 @@ func TestClusterFailoverMatchesReference(t *testing.T) {
 			clients := make([]*SiteClient, k)
 			for site := 0; site < k; site++ {
 				id := site
+				bound := core.NewBound(s)
 				clients[site], err = DialGroups(groups, router, func(int) netsim.SiteNode {
-					if row.bounded {
+					switch {
+					case row.shared:
+						return core.NewSharedInfiniteSite(id, hasher, bound)
+					case row.bounded:
 						return core.NewBoundedInfiniteSite(id, hasher, s)
 					}
 					return core.NewInfiniteSite(id, hasher)

@@ -39,7 +39,9 @@ import (
 // Every schedule is deterministic in (C, window) via a seeded RNG, so a
 // failure names a reproducible script. The bounded rows run the pipelined
 // schedules with sites that count their own offers
-// (core.NewBoundedInfiniteSite), whose merged sample must stay exact across
+// (core.NewBoundedInfiniteSite), and the shared-bound rows with one bound per
+// client across all its shard sites, including those a split adds
+// (core.NewSharedInfiniteSite); their merged sample must stay exact across
 // splits, merges and the kill.
 func TestReshardChaosMatchesReference(t *testing.T) {
 	const (
@@ -64,16 +66,20 @@ func TestReshardChaosMatchesReference(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		for _, row := range []struct {
-			opts    wire.Options
-			bounded bool
+			opts            wire.Options
+			bounded, shared bool
 		}{
-			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16}, false},            // one frame in flight
-			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, false}, // pipelined
-			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, true},  // pipelined, bounded sites
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16}, false, false},            // one frame in flight
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, false, false}, // pipelined
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, true, false},  // pipelined, bounded sites
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, true, true},   // pipelined, one bound per client
 		} {
 			opts := row.opts
 			name := fmt.Sprintf("shards=%d window=%d", shards, opts.Window)
-			if row.bounded {
+			switch {
+			case row.shared:
+				name += " shared bound"
+			case row.bounded:
 				name += " bounded"
 			}
 			rng := rand.New(rand.NewSource(seed + int64(shards)*100 + int64(opts.Window)))
@@ -95,8 +101,12 @@ func TestReshardChaosMatchesReference(t *testing.T) {
 			clients := make([]*SiteClient, k)
 			for site := 0; site < k; site++ {
 				id := site
+				bound := core.NewBound(s)
 				clients[site], err = DialGroups(groups, router, func(int) netsim.SiteNode {
-					if row.bounded {
+					switch {
+					case row.shared:
+						return core.NewSharedInfiniteSite(id, hasher, bound)
+					case row.bounded:
 						return core.NewBoundedInfiniteSite(id, hasher, s)
 					}
 					return core.NewInfiniteSite(id, hasher)

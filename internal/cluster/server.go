@@ -820,9 +820,11 @@ func (c *SiteClient) maybeApplyRoute() error {
 // is restored to exactly the keys it owns under the new table. Site nodes
 // without snapshots (the infinite-window site's threshold-and-memo state is
 // per-shard-valid as is) are left untouched. That holds for a bounded site
-// too (core.NewBoundedInfiniteSite): its bound L is the s-th smallest hash of
-// s distinct keys it offered, so after a split moves some of them to another
-// shard, L is still at least the merged sample's threshold, just as a u_j
+// too, whether its bound is its own (core.NewBoundedInfiniteSite) or the one
+// all the client's shard sites share, those of slots the flip added included
+// (core.NewSharedInfiniteSite): the bound L is the s-th smallest hash of s
+// distinct keys offered through it, so whichever shards own them after the
+// flip, L is still at least the merged sample's threshold, just as a u_j
 // learned before the split is, and an arrival it drops can never enter the
 // merged sample.
 func (c *SiteClient) repartitionSiteState() error {

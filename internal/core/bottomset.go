@@ -9,7 +9,8 @@ import (
 // bottomSet maintains the s entries with the smallest hash values among the
 // distinct keys offered to it, together with the threshold u: the largest
 // hash in the set once it is full, or 1 before that. It is the coordinator's
-// sample P of Algorithm 2 and also backs the centralized reference sampler.
+// sample P of Algorithm 2, a bounded site's Bound, and also backs the
+// centralized reference sampler.
 //
 // s is small (tens to a few hundred in every experiment), so the set is kept
 // as a slice ordered by hash; insertions cost O(s) which is negligible next

@@ -12,33 +12,36 @@ import (
 	"repro/internal/netsim"
 )
 
-// memoHashes returns the hashes of a site's memo keys in ascending order.
-func memoHashes(site *InfiniteSite) []float64 {
-	hashes := make([]float64, 0, len(site.offered))
-	for _, h := range site.offered {
+// sortedHashes returns the hashes of offered in ascending order.
+func sortedHashes(offered map[string]float64) []float64 {
+	hashes := make([]float64, 0, len(offered))
+	for _, h := range offered {
 		hashes = append(hashes, h)
 	}
 	sort.Float64s(hashes)
 	return hashes
 }
 
-// memoBound is the bound a site's memo implies: the s-th smallest hash among
-// its keys, or 1 while it holds fewer than s.
-func memoBound(site *InfiniteSite) float64 {
-	if hashes := memoHashes(site); len(hashes) >= site.s {
-		return hashes[site.s-1]
+// offeredBound is the bound that the keys offered through it imply: the
+// s-th smallest of their hashes, or 1 while there are fewer than s.
+func offeredBound(offered map[string]float64, s int) float64 {
+	if hashes := sortedHashes(offered); len(hashes) >= s {
+		return hashes[s-1]
 	}
 	return 1
 }
 
-// TestBoundedSiteBoundTracksMemo is the heap's invariant as a property: after
-// every arrival and every reply, the bound equals the s-th smallest hash
-// among the memo's keys (or 1), and an arrival is offered exactly when its
-// hash beats both u and that bound and its key is not in the memo. The
-// replies drive u down, up (a failover to a lagging replica, a donor after a
-// split) and down again, and land exactly on memo hashes, so keys are pruned
-// and later offered again; the run fails if it never did either.
-func TestBoundedSiteBoundTracksMemo(t *testing.T) {
+// TestSharedBoundTracksOffers is the shared bound's invariant as a property.
+// Two sites share one Bound and take interleaved arrivals. After every
+// arrival and every reply, the bound equals the s-th smallest hash among the
+// distinct keys offered through either site (or 1) and its set holds the
+// min(s, offered) smallest of them, and an arrival is offered exactly when
+// its hash beats its site's u and the bound and its key was never offered
+// through the bound. Replies drive each site's u down, up (a failover to a
+// lagging replica, a donor after a split) and exactly onto offered hashes;
+// the run fails unless u rose, both sites offered, and both the bound and
+// the duplicate test alone dropped an arrival that beat u.
+func TestSharedBoundTracksOffers(t *testing.T) {
 	const (
 		s     = 8
 		keys  = 300
@@ -47,54 +50,63 @@ func TestBoundedSiteBoundTracksMemo(t *testing.T) {
 	h := testHasher()
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		site := NewBoundedInfiniteSite(0, h, s)
-		pruned := make(map[string]bool) // keys offered once and pruned since
-		reoffers, rises := 0, 0
-		u := 1.0
+		bound := NewBound(s)
+		sites := []*InfiniteSite{NewSharedInfiniteSite(0, h, bound), NewSharedInfiniteSite(1, h, bound)}
+		offered := make(map[string]float64) // every key offered through the bound
+		offers := make([]int, len(sites))
+		rises, boundDrops, repeatDrops := 0, 0, 0
 		out := &netsim.Outbox{}
 		for step := 0; step < steps; step++ {
+			i := rng.Intn(len(sites))
+			site := sites[i]
 			if rng.Intn(4) > 0 {
 				key := fmt.Sprintf("k%d", rng.Intn(keys))
 				hash := h.Unit(key)
-				_, inMemo := site.offered[key]
-				want := hash < site.Threshold() && hash < memoBound(site) && !inMemo
+				_, repeat := offered[key]
+				limit := offeredBound(offered, s)
+				want := hash < site.Threshold() && hash < limit && !repeat
 				site.OnArrival(key, 0, out)
 				if got := len(out.Drain()) == 1; got != want {
-					t.Fatalf("seed %d step %d: %s (hash %v, u %v, bound %v, in memo %v) offered=%v, want %v",
-						seed, step, key, hash, site.Threshold(), memoBound(site), inMemo, got, want)
+					t.Fatalf("seed %d step %d: site %d: %s (hash %v, u %v, bound %v, offered before %v) offered=%v, want %v",
+						seed, step, i, key, hash, site.Threshold(), limit, repeat, got, want)
 				}
-				if want && pruned[key] {
-					reoffers++
-					delete(pruned, key)
+				switch {
+				case want:
+					offered[key] = hash
+					offers[i]++
+				case hash < site.Threshold() && hash >= limit && !repeat:
+					boundDrops++
+				case hash < site.Threshold() && hash < limit && repeat:
+					repeatDrops++
 				}
 			} else {
+				u := site.Threshold()
 				switch r := rng.Float64(); {
-				case r < 0.1 && len(site.offered) > 0:
-					// Exactly a memo hash: the key carrying it is pruned.
-					hashes := memoHashes(site)
+				case r < 0.1 && len(offered) > 0:
+					// Exactly an offered hash: that key no longer beats u.
+					hashes := sortedHashes(offered)
 					u = hashes[rng.Intn(len(hashes))]
 				case r < 0.25:
 					u = min(1, u*(1.5+3*rng.Float64()))
-					rises++
 				default:
 					u *= 0.8 + 0.2*rng.Float64()
 				}
-				for key, hash := range site.offered {
-					if hash >= u {
-						pruned[key] = true
-					}
+				if u > site.Threshold() {
+					rises++
 				}
 				site.OnMessage(netsim.Message{Kind: netsim.KindThreshold, U: u}, 0, out)
 			}
-			if got, want := site.bound(), memoBound(site); got != want {
-				t.Fatalf("seed %d step %d: bound %v, want the memo's s-th smallest hash %v", seed, step, got, want)
+			if got, want := bound.set.Threshold(), offeredBound(offered, s); got != want {
+				t.Fatalf("seed %d step %d: bound %v, want the offers' s-th smallest hash %v", seed, step, got, want)
 			}
-			if got, want := len(site.least), min(s, len(site.offered)); got != want {
-				t.Fatalf("seed %d step %d: heap holds %d hashes, memo %d keys; want %d", seed, step, got, len(site.offered), want)
+			if got, want := bound.set.Len(), min(s, len(offered)); got != want {
+				t.Fatalf("seed %d step %d: bound holds %d keys of %d offered; want %d", seed, step, got, len(offered), want)
 			}
 		}
-		if reoffers == 0 || rises == 0 {
-			t.Fatalf("seed %d: %d re-offers of pruned keys and %d rises of u; the schedule must exercise both", seed, reoffers, rises)
+		t.Logf("seed %d: offers %v, %d rises of u, %d drops by the bound, %d by the duplicate test", seed, offers, rises, boundDrops, repeatDrops)
+		if rises == 0 || offers[0] == 0 || offers[1] == 0 || boundDrops == 0 || repeatDrops == 0 {
+			t.Fatalf("seed %d: offers %v, %d rises of u, %d drops by the bound, %d by the duplicate test; the schedule must exercise each",
+				seed, offers, rises, boundDrops, repeatDrops)
 		}
 	}
 }

@@ -26,31 +26,41 @@ import (
 // size is O(s). NewNaiveInfiniteSite builds the literal-pseudocode site for
 // the ablation experiment that quantifies the difference.
 //
-// A bounded site (NewBoundedInfiniteSite) also counts its own offers. The
-// memo's keys are distinct keys the site has sent, and the coordinator
-// receives them, in order, before anything the site sends later. So by the
-// time the coordinator reaches the site's next offer, it holds at least s
-// keys with hash at most L, the s-th smallest hash among the memo's keys,
-// and refuses any hash >= L. The site drops an arrival whose hash is at
-// least min(u_i, L) without changing any coordinator state. In the paper's
-// zero-delay model u_i <= L always, so the bound never fires; over a
-// pipelined transport, where replies lag, a lone site's L is the threshold
-// its coordinator will have by then, so it sends exactly the zero-delay
-// protocol's offers. A max-heap keeps the s smallest memo hashes: every
-// offer pushes its hash (replacing the maximum once the heap is full), and
-// pruning the memo at a new u_i pops every entry >= u_i. The heap therefore
-// always holds exactly the s smallest hashes among the memo's keys; a key
-// pruned and offered again, after u_i rose at a failover or a split, is
-// counted once.
+// A bounded site (NewBoundedInfiniteSite, NewSharedInfiniteSite) filters
+// instead against a Bound: the bottom-s set of the distinct keys offered
+// through it, the coordinator's own bottomSet. It offers an arrival exactly
+// when h < u_i and the set accepts it, that is when h < L, the s-th smallest
+// hash in the set (1 while it holds fewer than s keys), and the key is not
+// in the set. That is also an exact duplicate test: every key offered through
+// the bound whose hash is below L is in the set. L is the s-th smallest hash
+// of s distinct stream keys, so it is never below the final threshold of the
+// sample merged over all shards, and an arrival it drops can never enter
+// that sample. In the paper's zero-delay model a site with a bound of its
+// own has u_i <= L, so the bound never fires; over a pipelined transport,
+// where replies lag, it drops what the coordinator would refuse by then. The
+// sites a client opens to its C shards share one Bound, so L is the
+// client-wide bound and the client sends one protocol's offers, not C; a
+// shard then no longer ends with its range's bottom-s, and only the merged
+// sample is exact. Only the arrival path (the caller's goroutine) writes the
+// set: OnMessage, which a client runs on per-shard goroutines at once,
+// touches u_i alone.
 type InfiniteSite struct {
 	id      int
 	hasher  hashing.UnitHasher
 	u       float64
-	offered map[string]float64 // keys already sent whose hash is still < u
+	offered map[string]float64 // unbounded: keys already sent whose hash is still < u
+	bound   *bottomSet         // bounded: the Bound's set; nil otherwise
 	naive   bool               // literal Algorithm 1: no duplicate suppression
-	s       int                // the bound's rank; 0 for a site without the bound
-	least   []float64          // max-heap of the s smallest hashes in offered
 }
+
+// Bound is the bottom-s set of the distinct keys offered through the bounded
+// sites that share it (see InfiniteSite). Only one goroutine may run those
+// sites' arrivals.
+type Bound struct{ set *bottomSet }
+
+// NewBound returns an empty bound of rank s, which must be the coordinators'
+// sample size: a smaller s would drop keys the sample needs.
+func NewBound(s int) *Bound { return &Bound{set: newBottomSet(s)} }
 
 // NewInfiniteSite constructs the site with index id. All sites and the
 // coordinator must share the same hash function, mirroring the paper's
@@ -59,17 +69,21 @@ func NewInfiniteSite(id int, hasher hashing.UnitHasher) *InfiniteSite {
 	return &InfiniteSite{id: id, hasher: hasher, u: 1, offered: make(map[string]float64)}
 }
 
-// NewBoundedInfiniteSite constructs a site that also filters against the
-// s-th smallest hash among the keys it has offered (see InfiniteSite). s must
-// be the coordinator's sample size: a smaller s would drop keys the sample
-// needs. Its coordinator's replies and final sample are those of
-// NewInfiniteSite's; only the offers that coordinator would refuse anyway
-// are never sent.
+// NewBoundedInfiniteSite constructs a site that filters against a bound of
+// its own, of rank s, the coordinator's sample size (see InfiniteSite). Its
+// coordinator's replies and final sample are those of NewInfiniteSite's;
+// only the offers that coordinator would refuse anyway are never sent.
 func NewBoundedInfiniteSite(id int, hasher hashing.UnitHasher, s int) *InfiniteSite {
-	site := NewInfiniteSite(id, hasher)
-	site.s = max(1, s)
-	site.least = make([]float64, 0, site.s)
-	return site
+	return NewSharedInfiniteSite(id, hasher, NewBound(s))
+}
+
+// NewSharedInfiniteSite constructs a site that filters against bound, which
+// the sites one client opens to the other shards share: the client then
+// sends the offers of one site talking to one coordinator. Only the merged
+// sample of its coordinators is exact; a shard's own sample may miss keys of
+// its range that another shard's offers outrank.
+func NewSharedInfiniteSite(id int, hasher hashing.UnitHasher, bound *Bound) *InfiniteSite {
+	return &InfiniteSite{id: id, hasher: hasher, u: 1, bound: bound.set}
 }
 
 // NewNaiveInfiniteSite constructs a site that follows Algorithm 1 to the
@@ -86,18 +100,14 @@ func (s *InfiniteSite) ID() int { return s.id }
 // invariant checks).
 func (s *InfiniteSite) Threshold() float64 { return s.u }
 
-// SampleSize returns the bound's s, or 0 for a site without the bound. A
+// SampleSize returns the bound's rank s, or 0 for a site without a bound. A
 // site client announces it at hello, so that a coordinator of another sample
 // size refuses the site before it drops a key that coordinator needs.
-func (s *InfiniteSite) SampleSize() int { return s.s }
-
-// bound returns L, the s-th smallest hash among the memo's keys, or 1 while
-// the memo holds fewer than s keys or the site has no bound.
-func (s *InfiniteSite) bound() float64 {
-	if s.s == 0 || len(s.least) < s.s {
-		return 1
+func (s *InfiniteSite) SampleSize() int {
+	if s.bound == nil {
+		return 0
 	}
-	return s.least[0]
+	return s.bound.capacity
 }
 
 // Hasher implements netsim.DigestSite: the hash function the site filters
@@ -127,66 +137,27 @@ func (s *InfiniteSite) arrive(key string, h float64, out *netsim.Outbox) {
 }
 
 // offer is the rest of arrive's filter, for a key whose hash beats u_i: the
-// bound, then the duplicate memo.
+// bound, or the duplicate memo.
 func (s *InfiniteSite) offer(key string, h float64, out *netsim.Outbox) {
-	if !s.naive {
-		if h >= s.bound() {
+	switch {
+	case s.bound != nil:
+		if !s.bound.Offer(key, h) {
 			return
 		}
+	case !s.naive:
 		if _, already := s.offered[key]; already {
 			return
 		}
 		s.offered[key] = h
-		if s.s > 0 {
-			s.pushLeast(h)
-		}
 	}
 	out.ToCoordinator(netsim.Message{Kind: netsim.KindOffer, Key: key, Hash: h})
-}
-
-// pushLeast adds an offered key's hash to the heap of the s smallest. A full
-// heap replaces its maximum, which h beats: offer dropped every h >= L.
-func (s *InfiniteSite) pushLeast(h float64) {
-	if len(s.least) == s.s {
-		s.least[0] = h
-		s.siftDown()
-		return
-	}
-	s.least = append(s.least, h)
-	for i := len(s.least) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if s.least[parent] >= s.least[i] {
-			break
-		}
-		s.least[parent], s.least[i] = s.least[i], s.least[parent]
-		i = parent
-	}
-}
-
-// siftDown restores the max-heap order below the root.
-func (s *InfiniteSite) siftDown() {
-	n := len(s.least)
-	for i := 0; ; {
-		big, left := i, 2*i+1
-		if left < n && s.least[left] > s.least[big] {
-			big = left
-		}
-		if right := left + 1; right < n && s.least[right] > s.least[big] {
-			big = right
-		}
-		if big == i {
-			return
-		}
-		s.least[i], s.least[big] = s.least[big], s.least[i]
-		i = big
-	}
 }
 
 var _ netsim.DigestSite = (*InfiniteSite)(nil)
 
 // OnMessage implements netsim.SiteNode: the coordinator's reply refreshes
-// the local threshold, and offered keys that can no longer beat it are
-// forgotten, from the memo and from the bound's heap alike.
+// the local threshold, and memo keys that can no longer beat it are
+// forgotten. A bounded site has no memo, and leaves its bound alone.
 func (s *InfiniteSite) OnMessage(msg netsim.Message, _ int64, _ *netsim.Outbox) {
 	if msg.Kind != netsim.KindThreshold {
 		return
@@ -197,23 +168,20 @@ func (s *InfiniteSite) OnMessage(msg netsim.Message, _ int64, _ *netsim.Outbox) 
 			delete(s.offered, key)
 		}
 	}
-	// Every memo hash outside the heap is at least the heap's maximum, so
-	// popping the maxima >= u leaves the s smallest of what the memo kept.
-	for len(s.least) > 0 && s.least[0] >= s.u {
-		last := len(s.least) - 1
-		s.least[0] = s.least[last]
-		s.least = s.least[:last]
-		s.siftDown()
-	}
 }
 
 // OnSlotEnd implements netsim.SiteNode. The infinite-window site has no
 // time-driven behaviour.
 func (s *InfiniteSite) OnSlotEnd(int64, *netsim.Outbox) {}
 
-// Memory implements netsim.SiteNode: the threshold plus the duplicate memo
-// and the bound's heap.
-func (s *InfiniteSite) Memory() int { return 1 + len(s.offered) + len(s.least) }
+// Memory implements netsim.SiteNode: the threshold plus the duplicate memo,
+// or the bound's set, which counts at every site that shares it.
+func (s *InfiniteSite) Memory() int {
+	if s.bound != nil {
+		return 1 + s.bound.Len()
+	}
+	return 1 + len(s.offered)
+}
 
 // InfiniteCoordinator is the coordinator half of the infinite-window
 // protocol (Algorithm 2). It keeps the sample P (the bottom-s set of hashes

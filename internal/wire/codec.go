@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -609,15 +610,22 @@ func (d *byteDecoder) checkCount(count uint64, minBytes int) error {
 
 // serverConn reads the preamble of an accepted connection and returns the
 // server half of it. Anything but binMagic — an older layout's preamble
-// included — is rejected.
+// included — is rejected, and so is a peer that sends no preamble within the
+// sync dial bound: it holds no goroutine or read buffer past that. The
+// buffers are allocated only once the preamble is good.
 func serverConn(conn net.Conn) (*binConn, error) {
-	br := bufio.NewReaderSize(conn, binBufSize)
 	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	if err := conn.SetReadDeadline(time.Now().Add(syncDialTimeout)); err != nil {
+		return nil, err
+	}
+	if _, err := io.ReadFull(conn, magic[:]); err != nil {
+		return nil, err
+	}
+	if err := conn.SetReadDeadline(time.Time{}); err != nil {
 		return nil, err
 	}
 	if magic != binMagic {
 		return nil, fmt.Errorf("wire: bad connection preamble % x", magic)
 	}
-	return newBinConn(br, conn), nil
+	return newBinConn(bufio.NewReaderSize(conn, binBufSize), conn), nil
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -62,13 +63,21 @@ func TestMalformedFrames(t *testing.T) {
 			t.Fatalf("case %d: write: %v", i, err)
 		}
 		// The server must close the connection (possibly after an error
-		// frame); reads must not hang.
+		// frame), within its preamble deadline for a peer that sends too few
+		// bytes to make one, before the client's own read deadline.
 		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		buf := make([]byte, 256)
 		for {
-			if _, err := conn.Read(buf); err != nil {
+			if _, err = conn.Read(buf); err != nil {
 				break
 			}
+		}
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Errorf("case %d: the server kept the connection open: %v", i, err)
+		}
+		if len(raw) < len(binMagic) && err != io.EOF {
+			t.Errorf("case %d: a short preamble ended in %v, want the server's close (EOF)", i, err)
 		}
 		conn.Close()
 	}

@@ -381,13 +381,16 @@ func TestPipelinedAtLeast1_3xSyncBatched(t *testing.T) {
 
 // TestPipelinedRejectsBadSequence runs a misbehaving coordinator that echoes
 // the wrong sequence number; the client must refuse the reply and surface a
-// sequencing error instead of mismatching replies to batches.
+// sequencing error instead of mismatching replies to batches. The
+// coordinator answers only once Observe has returned, so the error reaches
+// the client while Flush waits for the ack, never during Observe's ship.
 func TestPipelinedRejectsBadSequence(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	observed := make(chan struct{})
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -407,6 +410,7 @@ func TestPipelinedRejectsBadSequence(t *testing.T) {
 				continue // swallow the hello
 			}
 			// Echo a sequence number the client never sent.
+			<-observed
 			_ = writeFlush(fc, &Frame{Type: FrameReplies, Seq: f.Seq + 5})
 		}
 	}()
@@ -417,8 +421,10 @@ func TestPipelinedRejectsBadSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if err := client.Observe("x", 0); err != nil {
-		t.Fatal(err) // ships the batch; the bogus reply arrives asynchronously
+	err = client.Observe("x", 0) // ships the batch
+	close(observed)
+	if err != nil {
+		t.Fatal(err)
 	}
 	err = client.Flush()
 	if err == nil || !strings.Contains(err.Error(), "sequence") {

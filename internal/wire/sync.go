@@ -14,6 +14,7 @@ import (
 
 // syncDialTimeout bounds replication and failover dials. Health probes must
 // fail fast: a site stalled on a dead replica's dial is a site not ingesting.
+// A server waits as long for a new connection's preamble (serverConn).
 const syncDialTimeout = 3 * time.Second
 
 // ErrDeposed is the epoch fence: the peer has been promoted past the

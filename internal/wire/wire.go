@@ -64,10 +64,11 @@ type BatchEntry struct {
 type Frame struct {
 	Type string
 	Site int
-	// SampleSize is the hello frame's s: the sample size a bounded site
-	// filters with (core.NewBoundedInfiniteSite), or 0 for a site without
-	// the bound. A coordinator whose node has a sample size refuses a
-	// non-zero s that differs from its own with ErrSampleSize.
+	// SampleSize is the hello frame's s: the rank of the bound a bounded
+	// site filters with, its own or the one a client's shard sites share
+	// (core.NewBoundedInfiniteSite, core.NewSharedInfiniteSite), or 0 for a
+	// site without a bound. A coordinator whose node has a sample size
+	// refuses a non-zero s that differs from its own with ErrSampleSize.
 	SampleSize int
 	Slot       int64
 	// Seq is the batch sequence number of ingest: each batch frame carries
@@ -531,11 +532,12 @@ func writeFlush(fc frameConn, f *Frame) error {
 type sampleSizer interface{ SampleSize() int }
 
 // helloRefusal returns the error frame that refuses a site's hello, or nil to
-// accept it. A bounded site drops every arrival at or above the s-th smallest
-// hash it has offered, so one whose s is below its coordinator's would drop
-// keys the sample needs: a coordinator with a sample size refuses a hello
-// whose non-zero s differs from its own. Sites without the bound announce 0,
-// and nodes without a sample size (the sliding coordinators) accept any.
+// accept it. A bounded site drops every arrival at or above the s-th
+// smallest hash offered through its bound, so one whose s is below its
+// coordinator's would drop keys the sample needs: a coordinator with a
+// sample size refuses a hello whose non-zero s differs from its own. Sites
+// without the bound announce 0, and nodes without a sample size (the sliding
+// coordinators) accept any.
 func (s *CoordinatorServer) helloRefusal(f *Frame) *Frame {
 	sz, ok := s.node.(sampleSizer)
 	if !ok || f.SampleSize == 0 || f.SampleSize == sz.SampleSize() {
