@@ -453,17 +453,21 @@ func Open(ctx context.Context, cfg Config, opts ...Option) (*Client, error) {
 	}
 	// The sites filter with the router's own hasher, so each arrival is
 	// hashed once: the digest that picks the shard feeds the site's filter.
-	// Infinite-window sites also filter against one bound for the whole
-	// client, the s-th smallest hash it has offered to any shard, including
-	// the shards a reshard adds later; so the client sends one protocol's
-	// offers, not one per shard, and only the merged sample is exact. Each
-	// announces SampleSize at hello, and a coordinator of another sample
-	// size refuses it (wire.ErrSampleSize).
+	// They count their own offers, and filter against one bound or candidate
+	// for the whole client, including the shards a reshard adds later; so
+	// the client sends one protocol's offers, not one per shard, and only
+	// the merged sample is exact. Infinite-window sites filter against the
+	// s-th smallest hash the client has offered to any shard. Each announces
+	// SampleSize at hello, and a coordinator of another sample size refuses
+	// it (wire.ErrSampleSize). Sliding-window sites share one candidate:
+	// when it expires, the minimum over all their window stores is promoted
+	// once, to the shard that owns it.
 	hasher := router.Hasher()
 	var newSite func(shard int) netsim.SiteNode
 	if cfg.window > 0 {
+		cand := sliding.NewCandidate()
 		newSite = func(shard int) netsim.SiteNode {
-			return sliding.NewSite(cfg.SiteID, hasher, cfg.window, uint64(cfg.SiteID*1000+shard)+1)
+			return sliding.NewSharedSite(cfg.SiteID, hasher, cfg.window, uint64(cfg.SiteID*1000+shard)+1, cand)
 		}
 	} else {
 		bound := core.NewBound(cfg.SampleSize)
@@ -650,14 +654,19 @@ func (c *Client) Close() error {
 
 // Query answers a one-shot cluster query without opening an ingest client:
 // the merged distinct sample across the configured (or admin-fetched) shard
-// groups. In sliding-window mode, pass the current slot as asOf to evaluate
-// expiry; whole-stream callers use Query(ctx, cfg).
+// groups. In sliding-window mode it is QueryAsOf with asOf 0, which reads
+// the window as of the newest slot clock among the shards; when the current
+// slot is known, pass it to QueryAsOf instead.
 func Query(ctx context.Context, cfg Config, opts ...Option) (Sample, error) {
 	return QueryAsOf(ctx, 0, cfg, opts...)
 }
 
 // QueryAsOf is Query with an explicit slot clock for sliding-window
-// deployments: only elements still live at slot asOf count.
+// deployments: only elements still live at slot asOf count. A shard's clock
+// moves only when a site's message reaches it, so the shards' clocks lag
+// the stream's, some by many slots; an asOf of 0 stands for the newest of
+// them, so that a lagging shard cannot return an element that has left the
+// window by the others' clocks.
 func QueryAsOf(ctx context.Context, asOf int64, cfg Config, opts ...Option) (Sample, error) {
 	cfg, err := cfg.normalize(opts)
 	if err != nil {

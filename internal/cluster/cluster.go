@@ -189,13 +189,13 @@ func compareEntries(a, b netsim.SampleEntry) int {
 // the global window sample — or nil when nothing is live. The explicit
 // clock matters because shard coordinators expire lazily (only a message or
 // slot-end advances them): an idle shard may still report an expired entry.
-// The filter is exact over whatever candidates the inputs carry; note that
-// a shard's single-entry Sample() hides live higher-hash candidates behind
-// an expired minimum, so callers that may query an idle shard should feed
-// MergeWindow full snapshot stores instead (see QueryWindowGroups). At an
-// EndSlot-quiesced boundary with every shard actively served, Sample()
-// inputs are exact too: a site whose candidate expired re-offers its next
-// best at the slot end, refreshing the shard minimum.
+// The filter is exact over whatever candidates the inputs carry, so feed it
+// the shards' full window stores (see QueryWindowGroups): a shard's
+// single-entry Sample() can be an expired minimum that hides live
+// higher-hash candidates. For the shards of a client whose sites share one
+// candidate (sliding.NewSharedSite, as dds.Open builds them) that is the
+// normal case, not an idle shard's: only the shard that owns the client's
+// candidate hears its slot-end promotions, so the other shards' clocks lag.
 func MergeWindow(now int64, shardSamples ...[]netsim.SampleEntry) []netsim.SampleEntry {
 	var best netsim.SampleEntry
 	have := false

@@ -17,6 +17,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/replica"
+	"repro/internal/sliding"
 	"repro/internal/stream"
 	"repro/internal/wire"
 )
@@ -287,6 +288,94 @@ func TestFailoverReplaysUnackedWindow(t *testing.T) {
 	merged := Merge(s, shardSamples...)
 	if !oracle.SameSample(merged) {
 		t.Fatalf("promoted replica's sample misses replayed offers:\n got %d entries %v", len(merged), merged)
+	}
+
+	failoverReplaysUnackedSharedWindow(t)
+}
+
+// failoverReplaysUnackedSharedWindow is TestFailoverReplaysUnackedWindow's
+// shared-candidate row: one pipelined sliding-window client whose two shard
+// sites share a candidate streams through the death of shard 0's primary,
+// so the offers it sends there after the kill are unacknowledged when the
+// failure surfaces. The sites counted those offers as sent the moment they
+// made them, so replay must deliver them: at every slot boundary after the
+// kill, the window read as of that slot is the brute-force window minimum.
+func failoverReplaysUnackedSharedWindow(t *testing.T) {
+	const (
+		total   = 4000
+		perSlot = 40
+		window  = 5
+		seed    = 13
+	)
+	hasher := hashing.NewMurmur2(seed)
+	srv, err := replica.Listen("127.0.0.1:0", 2, replica.Options{
+		Replicas:     1,
+		SyncInterval: time.Hour, // only explicit syncs
+		Codec:        wire.CodecBinary,
+	}, func(int, int) netsim.CoordinatorNode {
+		return sliding.NewCoordinator()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	newSite := sharedCandidates(1, hasher, window)
+	client, err := DialGroups(srv.GroupAddrs(), NewShardRouter(2, hasher), func(shard int) netsim.SiteNode {
+		return newSite(0, shard)
+	}, wire.Options{Codec: wire.CodecBinary, BatchSize: 8, Window: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lastArrival := make(map[string]int64)
+	ingest := func(from, to int, check bool) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			key, slot := fmt.Sprintf("replay-%d", i%1500), int64(i/perSlot)
+			lastArrival[key] = slot
+			if err := client.Observe(key, slot); err != nil {
+				t.Fatal(err)
+			}
+			if (i+1)%perSlot != 0 {
+				continue
+			}
+			if err := client.EndSlot(slot); err != nil {
+				t.Fatal(err)
+			}
+			if !check {
+				continue
+			}
+			want := ""
+			for key, at := range lastArrival {
+				if at > slot-window && (want == "" || hasher.Unit(key) < hasher.Unit(want)) {
+					want = key
+				}
+			}
+			got, err := QueryWindowGroups(srv.GroupAddrs(), slot, wire.CodecBinary)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 || got[0].Key != want || got[0].Expiry < slot {
+				t.Fatalf("shared window slot %d: window sample %+v, want %q", slot, got, want)
+			}
+		}
+	}
+	ingest(0, total/2, false)
+	if err := client.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SyncNow(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.KillPrimary(0); err != nil {
+		t.Fatal(err)
+	}
+	ingest(total/2, total, true)
+	if err := client.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := client.Failovers(); n != 1 {
+		t.Fatalf("shared window: failovers = %d, want exactly 1", n)
 	}
 }
 

@@ -800,6 +800,9 @@ func (c *SiteClient) maybeApplyRoute() error {
 		sc.retiredSent += sc.client.MessagesSent()
 		sc.retiredReceived += sc.client.MessagesReceived()
 		sc.client = nil
+		if l, ok := sc.node.(interface{ Leave() }); ok {
+			l.Leave() // its store moved in phase 3b; it promotes nothing more
+		}
 	}
 	c.routeVer.Store(c.table.Version)
 	c.pendingRoute.CompareAndSwap(u, nil)
@@ -826,7 +829,12 @@ func (c *SiteClient) maybeApplyRoute() error {
 // distinct keys offered through it, so whichever shards own them after the
 // flip, L is still at least the merged sample's threshold, just as a u_j
 // learned before the split is, and an arrival it drops can never enter the
-// merged sample.
+// merged sample. Sliding-window sites that share the client's candidate
+// (sliding.NewSharedSite) snapshot their stores alone, so the stores move
+// and the candidate stays: it is still the lowest live hash the client has
+// offered or heard, whichever shard owns it now, and a later promotion still
+// takes the minimum over every store. The sites of slots the flip retires
+// leave the candidate in phase 4, once their stores have moved.
 func (c *SiteClient) repartitionSiteState() error {
 	type snap struct {
 		slot int
@@ -1044,7 +1052,10 @@ func (c *SiteClient) MessagesReceived() int {
 
 // Query fans a sample query out to every shard coordinator concurrently and
 // merges the per-shard samples into the exact global bottom-sampleSize
-// sample (sampleSize <= 0 keeps the whole union).
+// sample (sampleSize <= 0 keeps the whole union). It is an infinite-window
+// read: a shard's sample is its window store's minimum, which can be an
+// expired element behind a lagging slot clock, so a sliding-window
+// deployment is read with QueryWindowGroups.
 func Query(addrs []string, sampleSize int, codec wire.Codec) ([]netsim.SampleEntry, error) {
 	if len(addrs) == 0 {
 		return nil, ErrNoShards
@@ -1060,9 +1071,9 @@ func Query(addrs []string, sampleSize int, codec wire.Codec) ([]netsim.SampleEnt
 // current primary (by probing member epochs) and queries it, falling back to
 // a live replica — whose sample is at most one sync interval stale — if the
 // primary cannot be reached. The per-shard samples merge into the global
-// bottom-sampleSize sample exactly as in Query. Nil or empty group entries
-// (slots retired by resharding) are skipped; at least one live group is
-// required.
+// bottom-sampleSize sample exactly as in Query. Like Query it is an
+// infinite-window read. Nil or empty group entries (slots retired by
+// resharding) are skipped; at least one live group is required.
 func QueryGroups(groups [][]string, sampleSize int, codec wire.Codec) ([]netsim.SampleEntry, error) {
 	samples, err := readGroups(groups, "query", func(members []string) ([]netsim.SampleEntry, error) {
 		return queryGroup(members, codec)
@@ -1174,8 +1185,12 @@ func queryGroup(members []string, codec wire.Codec) ([]netsim.SampleEntry, error
 // shard whose slot clock lags (nothing advanced it since its minimum
 // expired) reports an expired minimum that hides still-live higher-hash
 // candidates, and only the snapshot's candidate store makes the query exact
-// in that case.
+// in that case. A now of 0 reads the window as of the newest slot clock
+// among the snapshots read, so a shard whose clock lags cannot pass off an
+// element that has left the window as live.
 func QueryWindowGroups(groups [][]string, now int64, codec wire.Codec) ([]netsim.SampleEntry, error) {
+	var mu sync.Mutex
+	newest := int64(0) // the newest slot clock among the states read
 	candidates, err := readGroups(groups, "window query", func(members []string) ([]netsim.SampleEntry, error) {
 		var entries []netsim.SampleEntry
 		err := WithGroupPrimary(members, codec, func(c *wire.SyncClient) error {
@@ -1189,12 +1204,18 @@ func QueryWindowGroups(groups [][]string, now int64, codec wire.Codec) ([]netsim
 					entries = append(entries, *sec.Candidate)
 				}
 			}
+			mu.Lock()
+			newest = max(newest, st.Slot)
+			mu.Unlock()
 			return nil
 		})
 		return entries, err
 	})
 	if err != nil {
 		return nil, err
+	}
+	if now == 0 {
+		now = newest
 	}
 	return MergeWindow(now, candidates...), nil
 }

@@ -45,6 +45,13 @@ import (
 // is what keeps expiry-driven promotions reaching the new owner. The kill
 // runs between chunks after a quiesce (EndSlot + flush + forced state-frame
 // sync), matching the infinite axis's bounded-resync accounting.
+//
+// The shared rows run the same schedules with each client's shard sites
+// sharing one candidate, as dds.Open builds them (sliding.NewSharedSite).
+// Only the shard that owns a client's candidate hears its promotions, so
+// shard clocks lag, and a shard's Sample() can be an expired minimum that
+// hides live tuples; those rows read the window as dds does, from the
+// shards' stores as of the boundary slot (QueryWindowGroups).
 func TestSlidingChaosMatchesReference(t *testing.T) {
 	const (
 		k        = 3
@@ -99,11 +106,20 @@ func TestSlidingChaosMatchesReference(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4} {
-		for _, opts := range []wire.Options{
-			{Codec: wire.CodecBinary, BatchSize: 8},            // one frame in flight
-			{Codec: wire.CodecBinary, BatchSize: 8, Window: 4}, // pipelined
+		for _, row := range []struct {
+			opts   wire.Options
+			shared bool
+		}{
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 8}, false},            // one frame in flight
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 8, Window: 4}, false}, // pipelined
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 8}, true},
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 8, Window: 4}, true},
 		} {
+			opts := row.opts
 			name := fmt.Sprintf("shards=%d window=%d", shards, opts.Window)
+			if row.shared {
+				name += " shared"
+			}
 			rng := rand.New(rand.NewSource(seed + int64(shards)*100 + int64(opts.Window)))
 			router := NewShardRouter(shards, hasher)
 			srv, err := replica.Listen("127.0.0.1:0", shards, replica.Options{
@@ -121,10 +137,16 @@ func TestSlidingChaosMatchesReference(t *testing.T) {
 			rs := NewResharder(srv, router.Table(), wire.CodecBinary)
 			groups := srv.GroupAddrs()
 			clients := make([]*SiteClient, k)
+			newSite := func(id, shard int) netsim.SiteNode {
+				return sliding.NewSite(id, hasher, window, uint64(id*100+shard)+1)
+			}
+			if row.shared {
+				newSite = sharedCandidates(k, hasher, window)
+			}
 			for site := 0; site < k; site++ {
 				id := site
 				clients[site], err = DialGroups(groups, router, func(shard int) netsim.SiteNode {
-					return sliding.NewSite(id, hasher, window, uint64(id*100+shard)+1)
+					return newSite(id, shard)
 				}, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -235,11 +257,17 @@ func TestSlidingChaosMatchesReference(t *testing.T) {
 				// primaries is byte-identical (key and hash) to the
 				// brute-force reference, and provably live.
 				want, haveWant := trueWindowEntry(to)
-				samples, err := srv.PrimarySamples()
+				var merged []netsim.SampleEntry
+				if row.shared {
+					merged, err = QueryWindowGroups(srv.GroupAddrs(), to, wire.CodecBinary)
+				} else {
+					var samples [][]netsim.SampleEntry
+					samples, err = srv.PrimarySamples()
+					merged = MergeWindow(to, samples...)
+				}
 				if err != nil {
 					t.Fatalf("%s chunk %d: %v", name, chunk, err)
 				}
-				merged := MergeWindow(to, samples...)
 				if !haveWant {
 					if len(merged) != 0 {
 						t.Fatalf("%s chunk %d: merged window sample %+v, want empty window", name, chunk, merged)
@@ -267,11 +295,17 @@ func TestSlidingChaosMatchesReference(t *testing.T) {
 			}
 			// The remote query path agrees, across retired slots and all.
 			if want, haveWant := trueWindowEntry(maxSlot); haveWant {
-				queried, err := QueryGroups(srv.GroupAddrs(), 0, wire.CodecBinary)
+				var remote []netsim.SampleEntry
+				if row.shared {
+					remote, err = QueryWindowGroups(srv.GroupAddrs(), maxSlot, wire.CodecBinary)
+				} else {
+					var queried []netsim.SampleEntry
+					queried, err = QueryGroups(srv.GroupAddrs(), 0, wire.CodecBinary)
+					remote = MergeWindow(maxSlot, queried)
+				}
 				if err != nil {
 					t.Fatalf("%s: query groups: %v", name, err)
 				}
-				remote := MergeWindow(maxSlot, queried)
 				if len(remote) != 1 || remote[0].Key != want.Key || remote[0].Hash != want.Hash {
 					t.Fatalf("%s: queried window sample %+v, want %q", name, remote, want.Key)
 				}

@@ -20,6 +20,22 @@
 // minimum of T_i and reports it). The coordinator keeps only the globally
 // best candidate (e*, u*, t*) and answers every report with it.
 //
+// NewSite is that literal Algorithm 3 site. NewSharedSite builds a site that
+// counts its own offers, as the paper's zero-delay site would learn them:
+// nothing expires within a slot, so after offering an arrival of hash h the
+// site's candidate is min(u_i, h) at once, and a reply whose hash is above a
+// live candidate is stale (its element joins T_i, but does not become the
+// candidate). In the zero-delay model it exchanges exactly NewSite's
+// messages; over a pipelined transport, where replies lag, it stops
+// reporting arrivals that an offer still in flight already beats. The sites
+// one client opens to its C shards share one Candidate, so the client
+// filters against one candidate and sends one protocol's offers, not C: when
+// that candidate expires, the minimum over all of the client's T_j is
+// promoted once, by the site whose store holds it. A shard then no longer
+// hears every promotion of its range, its slot clock lags, and only the
+// merged window sample, read from the shards' stores as of the current slot,
+// is exact.
+//
 // Slot/expiry convention: an element arriving at slot a is part of the
 // window at every slot t with t-w+1 <= a <= t, i.e. it is live through slot
 // a+w-1; its expiry field is that last live slot.
@@ -27,6 +43,8 @@ package sliding
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/hashing"
@@ -41,27 +59,94 @@ type Site struct {
 	window int64
 	store  *treap.WindowStore
 
-	// Local candidate sample (e_i, u_i, t_i). hasSample is false before the
-	// first element and whenever the window empties.
+	// candidate is the local candidate sample (e_i, u_i, t_i): the site's
+	// own, or the one it shares with its client's other sites.
+	*candidate
+	// adopt makes an offer the candidate at once, and a reply above a live
+	// candidate stale (NewSharedSite).
+	adopt bool
+}
+
+// candidate is a candidate sample (e_i, u_i, t_i) and the sites that filter
+// against it (see Candidate).
+type candidate struct {
+	// mu guards everything below and the members' stores, against OnMessage
+	// and OnSlotEnd running for several members at once. The arrival path
+	// does not take it (see Candidate).
+	mu sync.Mutex
+
+	// hasSample is false before the first element and whenever the window
+	// empties.
 	sampleKey    string
 	sampleHash   float64
 	sampleExpiry int64
 	hasSample    bool
+
+	members []*Site
+	// owner is the member that owes its coordinator the offer of the
+	// candidate a slot-end promotion took from its store, until its own
+	// OnSlotEnd sends it.
+	owner *Site
 }
+
+// Candidate is the candidate sample that the sites one client opens to its
+// shards share (NewSharedSite), with those sites, whose window stores T_j a
+// slot-end promotion takes its minimum over. A client runs OnMessage and
+// OnSlotEnd for several shards at once, on one goroutine per shard, so
+// those take the candidate's lock and touch the members' stores only under
+// it. The arrival path takes no lock: only one goroutine may run the
+// members' arrivals, and never beside those calls. A reshard's repartition
+// moves the members' stores, not the candidate.
+type Candidate struct{ candidate }
+
+// NewCandidate returns an empty candidate for NewSharedSite.
+func NewCandidate() *Candidate { return new(Candidate) }
 
 // NewSite constructs a sliding-window site with index id, the shared hash
 // function, the window size in slots, and a seed for the treap's internal
-// priorities.
+// priorities. It follows Algorithm 3 to the letter: its candidate is its
+// own, and it learns it from the coordinator's replies.
 func NewSite(id int, hasher hashing.UnitHasher, window int64, seed uint64) *Site {
+	return newSite(id, hasher, window, seed, new(candidate))
+}
+
+// NewSharedSite constructs a site that counts its own offers and filters
+// against cand, which the sites one client opens to its other shards share,
+// those of slots a reshard adds included (see the package doc). The client
+// then sends the offers of one site talking to one coordinator. Only the
+// merged window sample of its coordinators is exact; a shard's own sample
+// may be an expired minimum behind a slot clock that no message advanced.
+func NewSharedSite(id int, hasher hashing.UnitHasher, window int64, seed uint64, cand *Candidate) *Site {
+	s := newSite(id, hasher, window, seed, &cand.candidate)
+	s.adopt = true
+	return s
+}
+
+// newSite builds a site over cand and makes it one of cand's members.
+func newSite(id int, hasher hashing.UnitHasher, window int64, seed uint64, cand *candidate) *Site {
 	if window < 1 {
 		window = 1
 	}
-	return &Site{
-		id:     id,
-		hasher: hasher,
-		window: window,
-		store:  treap.NewWindowStore(seed),
+	s := &Site{
+		id:        id,
+		hasher:    hasher,
+		window:    window,
+		store:     treap.NewWindowStore(seed),
+		candidate: cand,
 	}
+	cand.mu.Lock()
+	cand.members = append(cand.members, s)
+	cand.mu.Unlock()
+	return s
+}
+
+// Leave takes the site out of its candidate's slot-end promotions. A client
+// calls it when a reshard retires the site's shard slot, after the
+// repartition has moved the site's store to the slots that own its keys.
+func (s *Site) Leave() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.members = slices.DeleteFunc(s.members, func(m *Site) bool { return m == s })
 }
 
 // ID implements netsim.SiteNode.
@@ -110,6 +195,9 @@ func (s *Site) arrive(key string, h float64, slot int64, out *netsim.Outbox) {
 
 	if !s.hasSample || h < s.sampleHash {
 		// The element may change the global sample: report it.
+		if s.adopt {
+			s.sampleKey, s.sampleHash, s.sampleExpiry, s.hasSample = key, h, expiry, true
+		}
 		out.ToCoordinator(netsim.Message{Kind: netsim.KindWindowOffer, Key: key, Hash: h, Expiry: expiry})
 	}
 }
@@ -118,52 +206,84 @@ var _ netsim.DigestSite = (*Site)(nil)
 
 // OnMessage implements netsim.SiteNode (Algorithm 3, lines 16-20): the
 // coordinator's reply becomes the site's candidate sample and joins T_i so
-// that it can be promoted again later.
+// that it can be promoted again later. A site that counts its own offers
+// keeps a live candidate of lower hash: the reply is stale.
 func (s *Site) OnMessage(msg netsim.Message, slot int64, _ *netsim.Outbox) {
 	if msg.Kind != netsim.KindWindowSample {
 		return
 	}
-	s.sampleKey = msg.Key
-	s.sampleHash = msg.Hash
-	s.sampleExpiry = msg.Expiry
-	s.hasSample = true
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.adopt || !s.live(slot) || msg.Hash <= s.sampleHash {
+		s.sampleKey = msg.Key
+		s.sampleHash = msg.Hash
+		s.sampleExpiry = msg.Expiry
+		s.hasSample = true
+		s.owner = nil // a promotion not yet sent is beaten
+	}
 	s.store.Observe(msg.Key, msg.Hash, msg.Expiry)
 	s.store.ExpireBefore(slot)
 }
 
+// live reports whether the candidate is still inside the window at slot.
+func (c *candidate) live(slot int64) bool { return c.hasSample && c.sampleExpiry >= slot }
+
 // OnSlotEnd implements netsim.SiteNode (Algorithm 3, lines 21-25): when the
 // site's candidate sample has expired, promote the minimum of T_i and report
-// it to the coordinator.
+// it to the coordinator. For sites that share a candidate, the first
+// member's call promotes the minimum over all the members' stores, and the
+// member that holds it reports it.
 func (s *Site) OnSlotEnd(slot int64, out *netsim.Outbox) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.store.ExpireBefore(slot)
-	if s.hasSample && s.sampleExpiry >= slot {
-		return // still live
+	if !s.live(slot) {
+		s.promote(slot)
 	}
-	min, ok := s.store.Min()
-	if !ok {
-		// Nothing live at this site: fall back to the initial state so that
-		// the next arrival is reported unconditionally.
-		s.hasSample = false
-		s.sampleKey, s.sampleHash, s.sampleExpiry = "", 0, 0
-		return
+	if s.owner == s {
+		s.owner = nil
+		out.ToCoordinator(netsim.Message{Kind: netsim.KindWindowOffer, Key: s.sampleKey, Hash: s.sampleHash, Expiry: s.sampleExpiry})
 	}
-	s.sampleKey, s.sampleHash, s.sampleExpiry = min.Key, min.Hash, min.Expiry
-	s.hasSample = true
-	out.ToCoordinator(netsim.Message{Kind: netsim.KindWindowOffer, Key: min.Key, Hash: min.Hash, Expiry: min.Expiry})
+}
+
+// promote makes the minimum live tuple over the members' stores the
+// candidate, owed to its coordinator by the member that holds it. With
+// nothing live anywhere it falls back to the initial state, so that the next
+// arrival is reported unconditionally. Callers hold mu.
+func (c *candidate) promote(slot int64) {
+	c.sampleKey, c.sampleHash, c.sampleExpiry, c.hasSample = "", 0, 0, false
+	c.owner = nil
+	for _, m := range c.members {
+		m.store.ExpireBefore(slot)
+		min, ok := m.store.Min()
+		if !ok || c.hasSample && min.Hash >= c.sampleHash {
+			continue
+		}
+		c.sampleKey, c.sampleHash, c.sampleExpiry, c.hasSample = min.Key, min.Hash, min.Expiry, true
+		c.owner = m
+	}
 }
 
 // Memory implements netsim.SiteNode: the number of tuples in T_i, the
 // quantity plotted in Figures 5.7 and 5.9.
-func (s *Site) Memory() int { return s.store.Len() }
+func (s *Site) Memory() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.store.Len()
+}
 
 // Snapshot implements core.Snapshotter: the site's candidate sample
 // (e_i, u_i, t_i) plus its store T_i as one sliding-kind State. Site
 // snapshots are what lets a reshard repartition site-side window state:
 // tuples for keys that moved to another shard migrate into that shard's
-// site instance instead of being stranded (see cluster.SiteClient).
+// site instance instead of being stranded (see cluster.SiteClient). A site
+// that shares its candidate snapshots its store alone: the candidate is the
+// client's, and stays where it is.
 func (s *Site) Snapshot() core.State {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var cand *netsim.SampleEntry
-	if s.hasSample {
+	if s.hasSample && !s.adopt {
 		cand = &netsim.SampleEntry{Key: s.sampleKey, Hash: s.sampleHash, Expiry: s.sampleExpiry}
 	}
 	return storeSnapshot(s.store, cand, 0)
@@ -172,13 +292,19 @@ func (s *Site) Snapshot() core.State {
 // Restore implements core.Snapshotter: replace the site's store and
 // candidate with the snapshot's. A snapshot without a candidate leaves the
 // site sample-less, so its next arrival is reported unconditionally — the
-// protocol's initial state, always safe.
+// protocol's initial state, always safe. A site that shares its candidate
+// restores its store alone.
 func (s *Site) Restore(st core.State) error {
 	if err := core.ValidateState(st, core.StateSliding, 1); err != nil {
 		return err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := restoreStore(s.store, st); err != nil {
 		return err
+	}
+	if s.adopt {
+		return nil
 	}
 	if cand := st.Sections[0].Candidate; cand != nil {
 		s.sampleKey, s.sampleHash, s.sampleExpiry, s.hasSample = cand.Key, cand.Hash, cand.Expiry, true
