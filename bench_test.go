@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/distribute"
@@ -227,51 +226,6 @@ func BenchmarkInfiniteSamplerConcurrent(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(arrivals))*float64(b.N)/b.Elapsed().Seconds(), "elements/s")
-}
-
-// BenchmarkClusterIngest measures real TCP ingest into the sharded cluster
-// subsystem across the transport matrix: one offer per frame versus batches
-// of 64, one frame versus a deeper window in flight, at 1 shard and at 4
-// shards. Each iteration replays the full synthetic stream through
-// concurrent site clients and cross-checks the merged sample against the
-// centralized reference. The flood cases put one offer per element on the
-// wire (transport-bound); the rest run the protocol's own offer filter.
-func BenchmarkClusterIngest(b *testing.B) {
-	cases := []struct {
-		name   string
-		shards int
-		batch  int
-		window int
-		flood  bool
-	}{
-		{"shards1-binary-per-offer", 1, 1, 0, false},
-		{"shards1-binary-batch64", 1, 64, 0, false},
-		{"shards4-binary-per-offer", 4, 1, 0, false},
-		{"shards4-binary-batch64", 4, 64, 0, false},
-		{"shards4-binary-batch64-win8", 4, 64, 8, false},
-		{"shards4-flood-sync", 4, 64, 0, true},
-		{"shards4-flood-win8", 4, 64, 8, true},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			cfg := cluster.DefaultBenchConfig()
-			cfg.Shards = c.shards
-			cfg.Batch = c.batch
-			cfg.Window = c.window
-			cfg.Flood = c.flood
-			var last *cluster.BenchResult
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := cluster.RunIngestBench(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.OpsPerSec, "elements/s")
-			b.ReportMetric(last.MsgsPerElement, "msgs/element")
-		})
-	}
 }
 
 // BenchmarkSlidingSamplerThroughput measures the sliding-window system.

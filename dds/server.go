@@ -323,7 +323,8 @@ func (cl *Cluster) SyncNow() error { return cl.srv.SyncNow() }
 // the exact global bottom-s in whole-stream mode, or the live window
 // minimum at slot asOf in sliding-window mode (read from full shard
 // snapshots, so a shard with a lagging slot clock cannot hide live
-// candidates behind an expired minimum).
+// candidates behind an expired minimum). An asOf of 0 reads the window as
+// of the newest slot clock among the shards.
 func (cl *Cluster) Sample(asOf int64) (Sample, error) {
 	if cl.cfg.window > 0 {
 		entries, err := cluster.QueryWindowGroups(cl.Groups(), asOf, wire.CodecBinary)

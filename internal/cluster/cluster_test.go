@@ -73,10 +73,29 @@ func ingestSites(t *testing.T, shards, k, s int, hasher hashing.UnitHasher, arri
 	return srv
 }
 
+// floodSite is a stub site that offers every arrival to the owning shard and
+// ignores threshold replies. Redundant offers never change a bottom-s
+// sample, so the merged sample still equals the reference, but the wire
+// carries one offer per element.
+type floodSite struct {
+	id     int
+	hasher hashing.UnitHasher
+}
+
+func (f *floodSite) ID() int { return f.id }
+func (f *floodSite) OnArrival(key string, _ int64, out *netsim.Outbox) {
+	out.ToCoordinator(netsim.Message{Kind: netsim.KindOffer, Key: key, Hash: f.hasher.Unit(key)})
+}
+func (f *floodSite) OnMessage(netsim.Message, int64, *netsim.Outbox) {}
+func (f *floodSite) OnSlotEnd(int64, *netsim.Outbox)                 {}
+func (f *floodSite) Memory() int                                     { return 0 }
+
 // TestMergedSampleMatchesReference is the subsystem's core exactness
 // guarantee: for C in {1, 2, 4, 8}, the union of per-shard bottom-s samples,
 // re-truncated to bottom-s, is byte-identical to the centralized reference
-// bottom-s sketch over the same stream.
+// bottom-s sketch over the same stream. The flood row offers every arrival
+// through pipelined ingest, and the shards must receive exactly one offer
+// per element: no batch is lost or delivered twice.
 func TestMergedSampleMatchesReference(t *testing.T) {
 	const (
 		k    = 3
@@ -95,24 +114,40 @@ func TestMergedSampleMatchesReference(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4, 8} {
-		for _, opts := range []wire.Options{
-			{Codec: wire.CodecBinary},
-			{Codec: wire.CodecBinary, BatchSize: 16},
+		for _, row := range []struct {
+			opts  wire.Options
+			flood bool
+		}{
+			{wire.Options{Codec: wire.CodecBinary}, false},
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16}, false},
 			// Pipelined ingest: batches stream with a credit window and the
 			// shard fan-out on Flush/Close runs concurrently; the merged
 			// sample must stay byte-identical to the reference.
-			{Codec: wire.CodecBinary, BatchSize: 16, Window: 4},
-			{Codec: wire.CodecBinary, BatchSize: 8, Window: 2},
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, false},
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 8, Window: 2}, false},
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 32, Window: 4}, true}, // pipelined flood
 		} {
-			srv := ingest(t, shards, k, s, hasher, arrivals, opts)
+			opts := row.opts
+			var srv *Server
+			if row.flood {
+				srv = ingestSites(t, shards, k, s, hasher, arrivals, opts, func(id int) netsim.SiteNode {
+					return &floodSite{id: id, hasher: hasher}
+				})
+				if offers, _, _ := srv.Stats(); offers != len(arrivals) {
+					t.Fatalf("shards=%d flood batch=%d window=%d: shards received %d offers, want one per element (%d)",
+						shards, opts.BatchSize, opts.Window, offers, len(arrivals))
+				}
+			} else {
+				srv = ingest(t, shards, k, s, hasher, arrivals, opts)
+			}
 			merged := srv.MergedSample(s)
 			got, err := json.Marshal(merged)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("shards=%d codec=%s batch=%d window=%d: merged sample differs from reference\n got: %s\nwant: %s",
-					shards, opts.Codec, opts.BatchSize, opts.Window, got, want)
+				t.Fatalf("shards=%d codec=%s batch=%d window=%d flood=%t: merged sample differs from reference\n got: %s\nwant: %s",
+					shards, opts.Codec, opts.BatchSize, opts.Window, row.flood, got, want)
 			}
 			// The remote merged query returns the identical sample.
 			queried, err := Query(srv.Addrs(), s, opts.Codec)
@@ -355,53 +390,5 @@ func TestSlidingClusterWindowMinimum(t *testing.T) {
 	}
 	if merged[0].Key != bestKey {
 		t.Fatalf("merged window sample %q, want global window minimum %q", merged[0].Key, bestKey)
-	}
-}
-
-// TestRunIngestBench smoke-tests the benchmark runner used by cmd/ddsbench
-// (it self-checks the merged sample against the reference internally).
-func TestRunIngestBench(t *testing.T) {
-	cfg := DefaultBenchConfig()
-	cfg.Shards = 2
-	cfg.Elements = 4000
-	cfg.Distinct = 1000
-	cfg.Codec = wire.CodecBinary
-	cfg.Batch = 32
-	res, err := RunIngestBench(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OpsPerSec <= 0 || res.MergedSampleLen != cfg.SampleSize {
-		t.Fatalf("implausible bench result: %+v", res)
-	}
-	if len(res.PerShardOffers) != 2 || len(res.PerShardSampleLen) != 2 {
-		t.Fatalf("missing per-shard series: %+v", res)
-	}
-}
-
-// TestRunIngestBenchPipelinedFlood covers the configuration behind the
-// BENCH_cluster.json pipeline section: flood-mode sites (one offer per
-// element on the wire) with pipelined ingest. The runner's internal
-// reference cross-check proves that redundant flooded offers and windowed
-// streaming leave the merged sample byte-identical to the oracle; here we
-// additionally check the offer accounting.
-func TestRunIngestBenchPipelinedFlood(t *testing.T) {
-	cfg := DefaultBenchConfig()
-	cfg.Shards = 2
-	cfg.Elements = 4000
-	cfg.Distinct = 1000
-	cfg.Codec = wire.CodecBinary
-	cfg.Batch = 32
-	cfg.Window = 4
-	cfg.Flood = true
-	res, err := RunIngestBench(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Offers != cfg.Elements {
-		t.Fatalf("flood mode shipped %d offers, want one per element (%d)", res.Offers, cfg.Elements)
-	}
-	if res.Window != 4 || !res.Flood {
-		t.Fatalf("bench result does not record the pipelined flood config: %+v", res)
 	}
 }

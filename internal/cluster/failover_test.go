@@ -36,8 +36,10 @@ import (
 // the genuinely hard path: failure detection on live connections, epoch
 // promotion raced by three independent sites, unacked-window replay, and
 // continued routing. The bounded rows repeat the pipelined runs with sites
-// that count their own offers (core.NewBoundedInfiniteSite), and the
-// shared-bound rows with one bound per client (core.NewSharedInfiniteSite).
+// that count their own offers (core.NewBoundedInfiniteSite), the
+// shared-bound rows with one bound per client (core.NewSharedInfiniteSite),
+// and the flood rows with sites that offer every arrival, so the kill lands
+// on a wire carrying one offer per element.
 func TestClusterFailoverMatchesReference(t *testing.T) {
 	const (
 		k    = 3
@@ -61,17 +63,20 @@ func TestClusterFailoverMatchesReference(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		for _, row := range []struct {
-			opts            wire.Options
-			bounded, shared bool
+			opts                   wire.Options
+			bounded, shared, flood bool
 		}{
-			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16}, false, false},            // one frame in flight
-			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, false, false}, // pipelined
-			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, true, false},  // pipelined, bounded sites
-			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, true, true},   // pipelined, one bound per client
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16}, false, false, false},            // one frame in flight
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, false, false, false}, // pipelined
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, true, false, false},  // pipelined, bounded sites
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, true, true, false},   // pipelined, one bound per client
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, false, false, true},  // pipelined, every arrival offered
 		} {
 			opts := row.opts
 			name := fmt.Sprintf("shards=%d window=%d", shards, opts.Window)
 			switch {
+			case row.flood:
+				name += " flood"
 			case row.shared:
 				name += " shared bound"
 			case row.bounded:
@@ -96,6 +101,8 @@ func TestClusterFailoverMatchesReference(t *testing.T) {
 				bound := core.NewBound(s)
 				clients[site], err = DialGroups(groups, router, func(int) netsim.SiteNode {
 					switch {
+					case row.flood:
+						return &floodSite{id: id, hasher: hasher}
 					case row.shared:
 						return core.NewSharedInfiniteSite(id, hasher, bound)
 					case row.bounded:
@@ -487,35 +494,6 @@ func TestDialGroupsJoinsMidOutage(t *testing.T) {
 	}
 	if !oracle.SameSample(Merge(s, samples...)) {
 		t.Fatal("sample ingested through a mid-outage join differs from the reference")
-	}
-}
-
-// TestRunFailoverBench smoke-tests the kill/promote benchmark runner used by
-// cmd/ddsbench (it verifies merged-vs-reference internally and errors on
-// divergence).
-func TestRunFailoverBench(t *testing.T) {
-	cfg := DefaultBenchConfig()
-	cfg.Shards = 2
-	cfg.Elements = 4000
-	cfg.Distinct = 1000
-	cfg.Codec = wire.CodecBinary
-	cfg.Batch = 16
-	cfg.Window = 4
-	res, err := RunFailoverBench(cfg, 1, 20*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PreKillOpsPerSec <= 0 || res.PostKillOpsPerSec <= 0 {
-		t.Fatalf("implausible throughput: %+v", res)
-	}
-	if res.Failovers < cfg.Sites {
-		t.Fatalf("bench recorded %d failovers for %d sites: %+v", res.Failovers, cfg.Sites, res)
-	}
-	if res.NewPrimary != res.KilledMember+1 {
-		t.Fatalf("promotion went to member %d after killing %d: %+v", res.NewPrimary, res.KilledMember, res)
-	}
-	if res.MergedSampleLen != cfg.SampleSize {
-		t.Fatalf("merged sample len %d, want %d", res.MergedSampleLen, cfg.SampleSize)
 	}
 }
 

@@ -41,8 +41,9 @@ import (
 // schedules with sites that count their own offers
 // (core.NewBoundedInfiniteSite), and the shared-bound rows with one bound per
 // client across all its shard sites, including those a split adds
-// (core.NewSharedInfiniteSite); their merged sample must stay exact across
-// splits, merges and the kill.
+// (core.NewSharedInfiniteSite). The flood rows offer every arrival, so
+// cutovers and the kill land on a wire carrying one offer per element. Every
+// row's merged sample must stay exact across splits, merges and the kill.
 func TestReshardChaosMatchesReference(t *testing.T) {
 	const (
 		k        = 3
@@ -66,17 +67,20 @@ func TestReshardChaosMatchesReference(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4} {
 		for _, row := range []struct {
-			opts            wire.Options
-			bounded, shared bool
+			opts                   wire.Options
+			bounded, shared, flood bool
 		}{
-			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16}, false, false},            // one frame in flight
-			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, false, false}, // pipelined
-			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, true, false},  // pipelined, bounded sites
-			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, true, true},   // pipelined, one bound per client
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16}, false, false, false},            // one frame in flight
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, false, false, false}, // pipelined
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, true, false, false},  // pipelined, bounded sites
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, true, true, false},   // pipelined, one bound per client
+			{wire.Options{Codec: wire.CodecBinary, BatchSize: 16, Window: 4}, false, false, true},  // pipelined, every arrival offered
 		} {
 			opts := row.opts
 			name := fmt.Sprintf("shards=%d window=%d", shards, opts.Window)
 			switch {
+			case row.flood:
+				name += " flood"
 			case row.shared:
 				name += " shared bound"
 			case row.bounded:
@@ -104,6 +108,8 @@ func TestReshardChaosMatchesReference(t *testing.T) {
 				bound := core.NewBound(s)
 				clients[site], err = DialGroups(groups, router, func(int) netsim.SiteNode {
 					switch {
+					case row.flood:
+						return &floodSite{id: id, hasher: hasher}
 					case row.shared:
 						return core.NewSharedInfiniteSite(id, hasher, bound)
 					case row.bounded:
@@ -311,32 +317,6 @@ func runPlanPumping(t *testing.T, clients []*SiteClient, plan func() (*ReshardRe
 	}
 }
 
-// TestRunReshardBench smoke-tests the online-reshard benchmark runner used
-// by cmd/ddsbench (it verifies merged-vs-reference internally and errors on
-// divergence or a stalled cutover).
-func TestRunReshardBench(t *testing.T) {
-	cfg := DefaultBenchConfig()
-	cfg.Shards = 2
-	cfg.Elements = 6000
-	cfg.Distinct = 1500
-	cfg.Codec = wire.CodecBinary
-	cfg.Batch = 16
-	cfg.Window = 4
-	res, err := RunReshardBench(cfg, 1, 20*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BeforeOpsPerSec <= 0 || res.DuringOpsPerSec <= 0 || res.AfterOpsPerSec <= 0 {
-		t.Fatalf("implausible throughput: %+v", res)
-	}
-	if res.MergedSampleLen != cfg.SampleSize {
-		t.Fatalf("merged sample len %d, want %d", res.MergedSampleLen, cfg.SampleSize)
-	}
-	if res.SplitTotalSec <= 0 || res.SplitTotalSec < res.SplitCutoverStallSec {
-		t.Fatalf("implausible split timing: %+v", res)
-	}
-}
-
 // TestSplitNonSnapshotDonorTyped pins the handoff's one path: a donor whose
 // coordinator lacks Snapshot/Restore (possible only in an unreplicated
 // group) fails a split's warm handoff with an error wrapping
@@ -442,6 +422,10 @@ func TestReshardSplitAndMergeExact(t *testing.T) {
 	})
 	if rep.Successor != 1 || rep.Version != 2 {
 		t.Fatalf("split report: %+v", rep)
+	}
+	// The report times the plan, and the cutover stall is part of it.
+	if rep.CutoverStall <= 0 || rep.Total < rep.CutoverStall {
+		t.Fatalf("split report times: cutover stall %v, total %v; want 0 < stall <= total", rep.CutoverStall, rep.Total)
 	}
 	if got := client.RouteVersion(); got != 2 {
 		t.Fatalf("client route version after split = %d, want 2", got)

@@ -88,15 +88,6 @@ func (s *Server) Stats() (offers, replies, queries int) {
 	return offers, replies, queries
 }
 
-// ShardStats returns the per-shard offer counts (ingest balance).
-func (s *Server) ShardStats() []int {
-	out := make([]int, len(s.servers))
-	for i, srv := range s.servers {
-		out[i], _, _ = srv.Stats()
-	}
-	return out
-}
-
 // ShardSamples returns every shard coordinator's current sample, indexed by
 // shard.
 func (s *Server) ShardSamples() [][]netsim.SampleEntry {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hashing"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 )
 
 // floodSite is a stub site that offers every arrival unconditionally, so
@@ -206,20 +207,28 @@ func TestDecodeFrameAllocsBoundedByKeys(t *testing.T) {
 
 // BenchmarkTransport compares batch sizes and credit windows on the raw offer
 // path: one request/response per offer versus frames batching 16 or 64
-// offers, with one frame or a deeper window of frames in flight.
+// offers, with one frame or a deeper window of frames in flight. The trace
+// cases repeat batch 64 at window 8 with 1% and 100% of batches traced, so
+// the cost of each sample rate reads against the untraced
+// binary-batch64-win8.
 func BenchmarkTransport(b *testing.B) {
 	cases := []struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		trace float64 // trace sample rate
 	}{
-		{"binary-per-offer", Options{Codec: CodecBinary}},
-		{"binary-batch16", Options{Codec: CodecBinary, BatchSize: 16}},
-		{"binary-batch64", Options{Codec: CodecBinary, BatchSize: 64}},
-		{"binary-batch64-win8", Options{Codec: CodecBinary, BatchSize: 64, Window: 8}},
-		{"binary-batch64-win32", Options{Codec: CodecBinary, BatchSize: 64, Window: 32}},
+		{"binary-per-offer", Options{Codec: CodecBinary}, 0},
+		{"binary-batch16", Options{Codec: CodecBinary, BatchSize: 16}, 0},
+		{"binary-batch64", Options{Codec: CodecBinary, BatchSize: 64}, 0},
+		{"binary-batch64-win8", Options{Codec: CodecBinary, BatchSize: 64, Window: 8}, 0},
+		{"binary-batch64-win8-trace1pct", Options{Codec: CodecBinary, BatchSize: 64, Window: 8}, 0.01},
+		{"binary-batch64-win8-trace100pct", Options{Codec: CodecBinary, BatchSize: 64, Window: 8}, 1},
+		{"binary-batch64-win32", Options{Codec: CodecBinary, BatchSize: 64, Window: 32}, 0},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
+			obs.SetTraceSampleRate(c.trace)
+			defer obs.SetTraceSampleRate(0)
 			srv := NewCoordinatorServer(core.NewInfiniteCoordinator(16))
 			addr, err := srv.Listen("127.0.0.1:0")
 			if err != nil {

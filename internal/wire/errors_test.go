@@ -278,3 +278,84 @@ func TestCoordErrorTypedByCode(t *testing.T) {
 		}
 	}
 }
+
+// refusingConn is a site connection to a coordinator that fences the second
+// batch with a lease refusal and closes: the client's write (or, with
+// failFlush, its flush) of that batch fails, and only then may the reader
+// take the error frame the coordinator wrote before closing. That is the
+// order in which a fenced primary's refusal and its closed socket can reach
+// a pipelined client.
+type refusingConn struct {
+	failFlush bool // fail the flush that carries the second batch, not its write
+	flushes   int
+	once      sync.Once
+	refused   chan struct{} // closed once the client's write has failed
+	read      bool
+}
+
+func (c *refusingConn) WriteFrame(f *Frame) error {
+	if f.Type == FrameBatch && f.Seq >= 1 && !c.failFlush {
+		return c.broken()
+	}
+	return nil
+}
+
+func (c *refusingConn) Flush() error {
+	c.flushes++
+	if c.failFlush && c.flushes > 2 { // the hello's and the first batch's pass
+		return c.broken()
+	}
+	return nil
+}
+
+func (c *refusingConn) broken() error {
+	c.once.Do(func() { close(c.refused) })
+	return io.ErrClosedPipe
+}
+
+func (c *refusingConn) ReadFrame(f *Frame) error {
+	<-c.refused
+	if c.read {
+		return io.EOF
+	}
+	c.read = true
+	*f = Frame{Type: FrameError, Error: "primary lease lapsed", errCode: errLeaseLapsed}
+	return nil
+}
+
+func (c *refusingConn) Close() error { return nil }
+
+// TestRefusalOutranksFailedWrite pins which error a client reports when a
+// coordinator refuses a batch and closes while the client is still writing:
+// the refusal, typed, and not the broken connection its own write ran into.
+// A caller that recovers by error type (cluster.SiteClient waits out a lapsed
+// lease, but promotes another member on a dead connection) depends on it.
+// The connection holds the error frame back from the reader until the write
+// has failed, so the client sees the write error first every time.
+func TestRefusalOutranksFailedWrite(t *testing.T) {
+	for _, failFlush := range []bool{false, true} {
+		conn := &refusingConn{failFlush: failFlush, refused: make(chan struct{})}
+		client, err := newSiteClient(&floodSite{id: 0, hasher: hashing.NewMurmur2(5)}, conn, conn,
+			Options{BatchSize: 1, Window: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = client.Observe("first", 0)
+		if err == nil {
+			err = client.Observe("second", 0)
+		}
+		if err == nil {
+			err = client.Flush()
+		}
+		if !errors.Is(err, ErrLeaseLapsed) {
+			t.Fatalf("failFlush=%t: err = %v, want errors.Is(err, ErrLeaseLapsed)", failFlush, err)
+		}
+		// Both offers stay retained for replay to whichever member serves next.
+		if got := len(client.Unacked()); got != 2 {
+			t.Fatalf("failFlush=%t: %d offers unacked, want 2", failFlush, got)
+		}
+		if err := client.Close(); !errors.Is(err, ErrLeaseLapsed) {
+			t.Fatalf("failFlush=%t: close: err = %v, want the refusal", failFlush, err)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -55,6 +56,7 @@ type pipeline struct {
 	ackSeq  uint64     // sequence number the next replies frame must carry
 	slots   []int64    // slot context of each in-flight batch, FIFO
 	err     error      // sticky failure; set once, ends the pipeline
+	refused bool       // err came from the coordinator's error frame
 	done    chan struct{}
 
 	// unacked retains a copy of every shipped-but-unacknowledged batch,
@@ -148,6 +150,30 @@ func (c *SiteClient) fail(err error) error {
 	return err
 }
 
+// readerVerdictWait bounds how long writeFailed waits for the reader to stop.
+const readerVerdictWait = time.Second
+
+// writeFailed settles a failed batch write or flush. A coordinator that
+// refuses a batch (a lease fence, a stale route) writes an error frame and
+// then closes, so the writer's next write can fail before the reader has
+// taken that frame, and the refusal is what the caller must act on. So the
+// reader decides: writeFailed waits, at most readerVerdictWait, for the
+// reader to stop, and returns the coordinator's error if the reader stopped
+// on one, and err otherwise.
+func (c *SiteClient) writeFailed(err error) error {
+	select {
+	case <-c.pipe.done:
+	case <-time.After(readerVerdictWait):
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.pipe.refused {
+		return c.pipe.err
+	}
+	c.failPipe(err)
+	return err
+}
+
 // applyReplies takes the reply queue and feeds it into the site node on the
 // writer's goroutine, buffering any offers the node emits in response, and
 // then returns the pipeline's sticky error, if any: replies that arrived
@@ -183,7 +209,7 @@ func (c *SiteClient) applyReplies() error {
 // socket. Only the writer calls it.
 func (c *SiteClient) flushBatches() error {
 	if err := c.fc.Flush(); err != nil {
-		return c.fail(fmt.Errorf("wire: flush batches: %w", err))
+		return c.writeFailed(fmt.Errorf("wire: flush batches: %w", err))
 	}
 	return nil
 }
@@ -304,7 +330,7 @@ func (c *SiteClient) ship(all bool) error {
 		c.wframe = Frame{Type: FrameBatch, Seq: seq, Batch: batch}
 		c.wframe.SetTrace(tc)
 		if err := c.fc.WriteFrame(&c.wframe); err != nil {
-			return c.fail(fmt.Errorf("wire: send batch: %w", err))
+			return c.writeFailed(fmt.Errorf("wire: send batch: %w", err))
 		}
 		if tc.Sampled() {
 			obs.StageSpan(tc, obs.StageSiteWrite, writeStart, nowNanos())
@@ -389,6 +415,7 @@ func (c *SiteClient) readLoop() {
 			c.routePush(&f)
 			continue
 		case FrameError:
+			c.pipe.refused = c.pipe.err == nil
 			c.failPipe(coordError(&f))
 			c.mu.Unlock()
 			return
