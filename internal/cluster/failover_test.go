@@ -178,6 +178,12 @@ func TestClusterFailoverMatchesReference(t *testing.T) {
 			if got := srv.PrimaryIndex(0); got != killed+1 {
 				t.Fatalf("%s: shard 0 primary = %d after killing %d, want %d", name, got, killed, killed+1)
 			}
+			// KillPrimary moves PrimaryIndex by itself; only the epoch shows
+			// that a client promoted the member (promoteWalk promotes member
+			// j to epoch j).
+			if got := srv.Epochs(0)[killed+1]; got != uint64(killed+1) {
+				t.Fatalf("%s: member %d epoch = %d, want %d", name, killed+1, got, killed+1)
+			}
 
 			for site, c := range clients {
 				clients[site] = nil

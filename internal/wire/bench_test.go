@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -252,5 +253,81 @@ func BenchmarkTransport(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "offers/s")
 		})
+	}
+}
+
+// sampleServer serves, on loopback, a coordinator whose sample holds s
+// entries.
+func sampleServer(tb testing.TB, s int) string {
+	tb.Helper()
+	coord := core.NewInfiniteCoordinator(s)
+	hasher := hashing.NewMurmur2(5)
+	for i := 0; i < 4*s; i++ {
+		key := fmt.Sprintf("read-key-%d", i)
+		coord.Offer(core.Offer{Key: key, Hash: hasher.Unit(key)})
+	}
+	srv := NewCoordinatorServer(coord)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = srv.Close() })
+	return addr
+}
+
+// syncRead is one one-shot read as cluster.withMemberPrimary runs it: dial,
+// probe the epoch, query the sample on the same connection, close.
+func syncRead(addr string) ([]netsim.SampleEntry, error) {
+	c, err := DialSync(addr, CodecBinary)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	if _, err := c.Promote(0); err != nil {
+		return nil, err
+	}
+	return c.Query()
+}
+
+// TestSyncReadAllocs bounds what a one-shot read allocates, client and
+// server together. A connection's buffers grow only to what it carries, so
+// a read of a 64-entry sample, whose frame is about 2 KB, allocates far
+// less than one 64 KiB buffer per connection end would.
+func TestSyncReadAllocs(t *testing.T) {
+	const (
+		s     = 64
+		reads = 200
+		bound = 64 << 10 // bytes per read
+	)
+	addr := sampleServer(t, s)
+	if sample, err := syncRead(addr); err != nil || len(sample) != s { // warm-up
+		t.Fatalf("warm-up read: %d entries, err %v; want %d entries", len(sample), err, s)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		if _, err := syncRead(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRead := (after.TotalAlloc - before.TotalAlloc) / reads
+	t.Logf("%d B allocated per read (%d reads, s = %d)", perRead, reads, s)
+	if perRead > bound {
+		t.Fatalf("a read allocates %d B, client and server together; want at most %d", perRead, bound)
+	}
+}
+
+// BenchmarkSyncRead times one one-shot read (dial, epoch probe, query,
+// close) of a 64-entry sample over loopback. The allocations it reports
+// include the server's.
+func BenchmarkSyncRead(b *testing.B) {
+	addr := sampleServer(b, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := syncRead(addr); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

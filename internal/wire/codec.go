@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -125,13 +124,14 @@ var nameToBin = map[string]byte{
 // frameConn reads and writes protocol frames over one transport. A
 // connection is used by at most one reading and one writing goroutine at a
 // time (a site client reads replies from a dedicated goroutine while the
-// caller writes); each side owns its own scratch state.
+// caller writes); each side owns its own buffer.
 //
 // WriteFrame may buffer; Flush pushes everything buffered to the wire.
 // Callers must Flush before blocking on a response. The site client's writer
 // uses this to coalesce frames into one syscall: it flushes a batch frame at
 // once only when no flushed frame awaits its ack, and otherwise holds it
-// until that ack returns or until it must wait for credits.
+// until that ack returns or until it must wait for credits. A buffer that
+// reaches connBufMax writes through without a Flush.
 type frameConn interface {
 	ReadFrame(f *Frame) error
 	WriteFrame(f *Frame) error
@@ -144,47 +144,85 @@ type frameConn interface {
 // DialSyncWrap and ServeMemWrap thread a wrapper into real connections.
 type FrameConn = frameConn
 
-// binBufSize sizes a connection's buffered reader and writer. Large
-// enough to hold a whole pipeline window of typical batch frames, so a
-// coalesced flush or a batched read costs one syscall.
-const binBufSize = 64 << 10
+// A connection's two buffers start at connBufInit, which holds a read
+// dialogue's frames at small s (a 64-entry sample frame is about 2 KB), and
+// grow with the traffic. connBufMax is as much as a whole pipeline window of
+// typical batch frames, so a coalesced flush or a batched read costs one
+// syscall: a write buffer that reaches it writes through, and a read buffer
+// that a read fills doubles up to it.
+const (
+	connBufInit = 4 << 10
+	connBufMax  = 64 << 10
+)
 
 // binConn is the length-prefixed binary transport over a stream connection.
-// Writes are buffered until Flush, so a run of batch frames costs one
-// syscall. Read and write scratch buffers are separate and persistent: a
+// It owns one buffer per direction, each touched by one goroutine only: a
 // site client reads from a dedicated goroutine while the writer keeps
 // encoding, and neither side reallocates once warm.
+//
+// WriteFrame encodes each frame in place at the end of wbuf, the frames not
+// yet flushed, and Flush sends them in one Write, so a run of batch frames
+// costs one syscall. The first failed write is sticky, as in bufio.Writer:
+// every later WriteFrame and Flush returns it and writes nothing.
+//
+// ReadFrame reads into rbuf and decodes the payload where it lies. Every
+// decoded string and State is copied out, so nothing aliases the buffer.
+// rbuf grows to fit the largest frame, and doubles, up to connBufMax, while
+// a read fills it. A stream that ends between frames reads io.EOF; one that
+// ends inside a frame reads io.ErrUnexpectedEOF.
 type binConn struct {
-	r    *bufio.Reader
-	w    *bufio.Writer
-	rlen [4]byte // ReadFrame length-prefix scratch (a stack array would escape)
-	rbuf []byte  // ReadFrame payload scratch, owned by the reading goroutine
-	wbuf []byte  // WriteFrame encode scratch, owned by the writing goroutine
+	r io.Reader
+	w io.Writer
+
+	rbuf       []byte // read buffer: rbuf[rpos:rend] is read and not yet decoded
+	rpos, rend int
+
+	wbuf []byte // encoded frames not yet flushed
+	werr error  // the first write error
 }
 
-func newBinConn(r *bufio.Reader, w io.Writer) *binConn {
-	return &binConn{r: r, w: bufio.NewWriterSize(w, binBufSize)}
+func newBinConn(r io.Reader, w io.Writer) *binConn {
+	return &binConn{r: r, w: w, rbuf: make([]byte, connBufInit), wbuf: make([]byte, 0, connBufInit)}
 }
 
-func (c *binConn) Flush() error { return c.w.Flush() }
+// Flush sends the pending frames in one Write.
+func (c *binConn) Flush() error {
+	if c.werr != nil || len(c.wbuf) == 0 {
+		return c.werr
+	}
+	n, err := c.w.Write(c.wbuf)
+	if err == nil && n < len(c.wbuf) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		c.werr = err
+		return err
+	}
+	c.wbuf = c.wbuf[:0]
+	return nil
+}
 
 // clientConn builds the client half of a fresh connection. The preamble
 // waits in the write buffer and leaves with the first frame.
 func clientConn(conn net.Conn) *binConn {
-	c := newBinConn(bufio.NewReaderSize(conn, binBufSize), conn)
-	_, _ = c.w.Write(binMagic[:]) // cannot fail: the buffer is empty and larger
+	c := newBinConn(conn, conn)
+	c.wbuf = append(c.wbuf, binMagic[:]...)
 	return c
 }
 
 func (c *binConn) WriteFrame(f *Frame) error {
+	if c.werr != nil {
+		return c.werr
+	}
 	code, ok := nameToBin[f.Type]
 	if !ok {
 		return fmt.Errorf("wire: cannot encode frame type %q", f.Type)
 	}
-	// The payload is encoded after a 4-byte placeholder that becomes the
-	// length prefix, so the whole frame goes out in one buffered write with
-	// no per-frame allocation.
-	buf := append(c.wbuf[:0], 0, 0, 0, 0, code)
+	// The payload is encoded behind the pending frames, after a 4-byte
+	// placeholder that becomes the length prefix, with no per-frame
+	// allocation. An encode error leaves c.wbuf as it was.
+	start := len(c.wbuf)
+	buf := append(c.wbuf, 0, 0, 0, 0, code)
 	switch code {
 	case binHello:
 		buf = binary.AppendUvarint(buf, uint64(f.Site))
@@ -266,31 +304,63 @@ func (c *binConn) WriteFrame(f *Frame) error {
 		buf = binary.AppendUvarint(buf, f.Epoch)
 		buf = binary.AppendUvarint(buf, f.Seq)
 	}
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
 	c.wbuf = buf
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	_, err := c.w.Write(buf)
-	if err == nil {
-		obsFramesEncoded[code].Inc()
-		obsBytesOut.Add(uint64(len(buf)))
+	if len(buf) >= connBufMax {
+		if err := c.Flush(); err != nil {
+			return err
+		}
+	}
+	obsFramesEncoded[code].Inc()
+	obsBytesOut.Add(uint64(len(buf) - start))
+	return nil
+}
+
+// fill reads until rbuf holds at least need undecoded bytes. It first moves
+// the undecoded bytes to the front of a buffer that fits need, doubled if
+// the last read filled it, so each read takes as much as the buffer holds.
+func (c *binConn) fill(need int) error {
+	have := c.rend - c.rpos
+	if have >= need {
+		return nil
+	}
+	size := len(c.rbuf)
+	if c.rend == size && size < connBufMax { // the last read filled rbuf
+		size = min(2*size, connBufMax)
+	}
+	if size < need {
+		size = need
+	}
+	if size > len(c.rbuf) {
+		buf := make([]byte, size)
+		copy(buf, c.rbuf[c.rpos:c.rend])
+		c.rbuf = buf
+	} else if c.rpos > 0 {
+		copy(c.rbuf, c.rbuf[c.rpos:c.rend])
+	}
+	c.rpos, c.rend = 0, have
+	n, err := io.ReadAtLeast(c.r, c.rbuf[have:], need-have)
+	c.rend += n
+	if err == io.EOF && have > 0 {
+		err = io.ErrUnexpectedEOF // the stream ended inside a frame
 	}
 	return err
 }
 
 func (c *binConn) ReadFrame(f *Frame) error {
-	if _, err := io.ReadFull(c.r, c.rlen[:]); err != nil {
+	if err := c.fill(4); err != nil {
 		return err
 	}
-	n := binary.LittleEndian.Uint32(c.rlen[:])
+	n := binary.LittleEndian.Uint32(c.rbuf[c.rpos:])
 	if n == 0 || n > maxFrameSize {
 		return fmt.Errorf("wire: invalid frame length %d", n)
 	}
-	if cap(c.rbuf) < int(n) {
-		c.rbuf = make([]byte, n)
-	}
-	buf := c.rbuf[:n]
-	if _, err := io.ReadFull(c.r, buf); err != nil {
+	size := 4 + int(n)
+	if err := c.fill(size); err != nil {
 		return err
 	}
+	buf := c.rbuf[c.rpos+4 : c.rpos+size]
+	c.rpos += size
 	// Decode-window stamp (coord_decode span): only while tracing is
 	// enabled, so the unsampled hot path pays one atomic load, no clock
 	// reads. The window starts once the payload is in memory — network wait
@@ -627,5 +697,5 @@ func serverConn(conn net.Conn) (*binConn, error) {
 	if magic != binMagic {
 		return nil, fmt.Errorf("wire: bad connection preamble % x", magic)
 	}
-	return newBinConn(bufio.NewReaderSize(conn, binBufSize), conn), nil
+	return newBinConn(conn, conn), nil
 }

@@ -4,11 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"net"
 	"reflect"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -91,6 +95,189 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+}
+
+// decodeAll reads frames from c until an error and returns them with that
+// error.
+func decodeAll(c *binConn) ([]Frame, error) {
+	var frames []Frame
+	for {
+		var f Frame
+		if err := c.ReadFrame(&f); err != nil {
+			return frames, err
+		}
+		frames = append(frames, f)
+	}
+}
+
+// writeRecorder counts the Write calls it takes. Each call accepts at most
+// accept bytes (all when accept < 0) and returns err.
+type writeRecorder struct {
+	accept, calls, written int
+	err                    error
+}
+
+func (w *writeRecorder) Write(p []byte) (int, error) {
+	w.calls++
+	n := len(p)
+	if w.accept >= 0 && n > w.accept {
+		n = w.accept
+	}
+	w.written += n
+	return n, w.err
+}
+
+// TestConnBuffers checks a connection's own buffers at their edges: streams
+// that arrive in pieces, a frame larger than connBufMax, streams cut between
+// and inside frames, a write buffer that reaches connBufMax, and a failed
+// write.
+func TestConnBuffers(t *testing.T) {
+	corpus := corpusFrames()
+	var stream []byte
+	ends := make([]int, len(corpus)) // each frame's end offset in stream
+	for i, fr := range corpus {
+		stream = append(stream, encodeFrames(t, fr)...)
+		ends[i] = len(stream)
+	}
+
+	t.Run("chunked", func(t *testing.T) {
+		for _, tc := range []struct {
+			name string
+			r    io.Reader
+		}{
+			{"one-byte", iotest.OneByteReader(bytes.NewReader(stream))},
+			{"half", iotest.HalfReader(bytes.NewReader(stream))},
+			{"whole", bytes.NewReader(stream)},
+		} {
+			frames, err := decodeAll(newBinConn(tc.r, io.Discard))
+			if err != io.EOF {
+				t.Fatalf("%s reads: the stream ended in %v, want io.EOF", tc.name, err)
+			}
+			if len(frames) != len(corpus) {
+				t.Fatalf("%s reads: %d frames, want %d", tc.name, len(frames), len(corpus))
+			}
+			for i := range corpus {
+				if !framesEquivalent(&frames[i], &corpus[i]) {
+					t.Fatalf("%s reads: frame %d differs:\n got: %+v\nwant: %+v", tc.name, i, frames[i], corpus[i])
+				}
+			}
+		}
+		// A read that fills the buffer doubles it, up to connBufMax; reads
+		// that never fill it leave it as it started.
+		long := bytes.Repeat(stream, 4*connBufMax/len(stream))
+		for _, tc := range []struct {
+			name string
+			r    io.Reader
+			want int
+		}{
+			{"one-byte", iotest.OneByteReader(bytes.NewReader(long)), connBufInit},
+			{"whole", bytes.NewReader(long), connBufMax},
+		} {
+			c := newBinConn(tc.r, io.Discard)
+			if _, err := decodeAll(c); err != io.EOF {
+				t.Fatalf("%s reads of %d B: the stream ended in %v, want io.EOF", tc.name, len(long), err)
+			}
+			if len(c.rbuf) != tc.want {
+				t.Fatalf("%s reads of %d B: read buffer of %d B, want %d", tc.name, len(long), len(c.rbuf), tc.want)
+			}
+		}
+	})
+
+	t.Run("oversized over TCP", func(t *testing.T) {
+		const n = 12000
+		entries := make([]netsim.SampleEntry, n)
+		for i := range entries {
+			entries[i] = netsim.SampleEntry{Key: fmt.Sprintf("oversized-%05d", i), Hash: float64(i+1) / (n + 1)}
+		}
+		encoded := infiniteState(n, entries...)
+		if len(encoded) < 4*connBufMax {
+			t.Fatalf("state of %d B; want one over %d B", len(encoded), 4*connBufMax)
+		}
+		_, addr := startServer(t, core.NewInfiniteCoordinator(n))
+		c, err := DialSync(addr, CodecBinary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.SyncFrame(0, 1, 0, encoded); err != nil {
+			t.Fatal(err)
+		}
+		st, _, _, err := c.FetchState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(core.EncodeState(st), encoded) {
+			t.Fatalf("a %d B state did not round-trip", len(encoded))
+		}
+	})
+
+	t.Run("cut", func(t *testing.T) {
+		for cut := 0; cut < len(stream); cut++ {
+			whole, start := 0, 0 // frames that end at or before the cut; the next one's offset
+			for whole < len(ends) && ends[whole] <= cut {
+				start = ends[whole]
+				whole++
+			}
+			want := io.ErrUnexpectedEOF // cut inside a length prefix or a payload
+			if cut == start {
+				want = io.EOF // cut between frames
+			}
+			frames, err := decodeAll(newBinConn(bytes.NewReader(stream[:cut]), io.Discard))
+			if len(frames) != whole || err != want {
+				t.Fatalf("stream cut at byte %d: %d frames, then %v; want %d, then %v", cut, len(frames), err, whole, want)
+			}
+		}
+	})
+
+	t.Run("write-through", func(t *testing.T) {
+		w := &writeRecorder{accept: -1}
+		c := newBinConn(nil, w)
+		f := benchBatchFrame()
+		pending := 0
+		for w.calls == 0 {
+			if err := c.WriteFrame(f); err != nil {
+				t.Fatal(err)
+			}
+			if w.calls == 0 {
+				pending = len(c.wbuf)
+			}
+		}
+		if pending >= connBufMax || w.calls != 1 || w.written < connBufMax || len(c.wbuf) != 0 {
+			t.Fatalf("%d B pending, then %d writes of %d B leaving %d B; want one write once the buffer reaches %d B, and nothing left",
+				pending, w.calls, w.written, len(c.wbuf), connBufMax)
+		}
+	})
+
+	t.Run("failed flush", func(t *testing.T) {
+		boom := errors.New("boom")
+		for _, tc := range []struct {
+			name string
+			w    *writeRecorder
+			want error
+		}{
+			{"error", &writeRecorder{accept: 0, err: boom}, boom},
+			{"short write", &writeRecorder{accept: 3}, io.ErrShortWrite},
+		} {
+			c := newBinConn(nil, tc.w)
+			hello := Frame{Type: FrameHello, Site: 1}
+			if err := c.WriteFrame(&hello); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if err := c.Flush(); err != tc.want {
+				t.Fatalf("%s: Flush returned %v, want %v", tc.name, err, tc.want)
+			}
+			calls, written := tc.w.calls, tc.w.written
+			if err := c.WriteFrame(&hello); err != tc.want {
+				t.Fatalf("%s: WriteFrame after the failed Flush returned %v, want %v", tc.name, err, tc.want)
+			}
+			if err := c.Flush(); err != tc.want {
+				t.Fatalf("%s: a second Flush returned %v, want %v", tc.name, err, tc.want)
+			}
+			if tc.w.calls != calls || tc.w.written != written {
+				t.Fatalf("%s: %d more writes of %d B after the failed Flush, want none", tc.name, tc.w.calls-calls, tc.w.written-written)
+			}
+		}
+	})
 }
 
 // legacyFrames returns well-formed payloads of the two retired flat-sample

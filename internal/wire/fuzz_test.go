@@ -3,8 +3,10 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
@@ -97,7 +99,10 @@ func corpusState() []byte {
 // FuzzBinaryFrameDecode feeds arbitrary bytes to the binary frame decoder.
 // The decoder must never panic or over-allocate, and any frame it does
 // accept must round-trip: re-encoding and re-decoding yields the same frame
-// again (the property the wire protocol's interoperability rests on).
+// again (the property the wire protocol's interoperability rests on). Each
+// input is decoded a second time one byte per read, which must yield the
+// same frames and end in the same error: how a stream is cut into reads
+// never changes what it decodes to.
 func FuzzBinaryFrameDecode(f *testing.F) {
 	for _, fr := range corpusFrames() {
 		f.Add(encodeFrames(f, fr))
@@ -118,10 +123,18 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := newBinConn(bufio.NewReaderSize(bytes.NewReader(data), 64), io.Discard)
-		var fr Frame
+		oc := newBinConn(iotest.OneByteReader(bytes.NewReader(data)), io.Discard)
+		var fr, ofr Frame
 		for {
-			if err := c.ReadFrame(&fr); err != nil {
+			err, oerr := c.ReadFrame(&fr), oc.ReadFrame(&ofr)
+			if fmt.Sprint(err) != fmt.Sprint(oerr) {
+				t.Fatalf("whole reads ended in %v, one-byte reads in %v", err, oerr)
+			}
+			if err != nil {
 				return // any error is fine; panics and hangs are not
+			}
+			if !framesEquivalent(&fr, &ofr) {
+				t.Fatalf("one-byte reads decoded another frame:\n whole: %+v\none-byte: %+v", fr, ofr)
 			}
 			// Round-trip what was accepted.
 			reencoded := encodeFrames(t, fr)

@@ -476,7 +476,7 @@ func TestHeldFramesLeaveAfterAck(t *testing.T) {
 	// drains and the server closes, whichever check failed.
 	var openGate sync.Once
 	t.Cleanup(func() { openGate.Do(func() { close(gate) }) })
-	buffered := client.fc.(*binConn).w.Buffered
+	buffered := func() int { return len(client.fc.(*binConn).wbuf) }
 	observe := func(from, to int) {
 		t.Helper()
 		for i := from; i < to; i++ {
