@@ -206,6 +206,31 @@ func TestDecodeFrameAllocsBoundedByKeys(t *testing.T) {
 	}
 }
 
+// TestDecodeSampleAllocs bounds what decoding a 64-entry sample frame into a
+// fresh Frame allocates, as a one-shot read does: the 64 key strings and one
+// entry slice of the frame's count.
+func TestDecodeSampleAllocs(t *testing.T) {
+	entries := make([]netsim.SampleEntry, 64)
+	for i := range entries {
+		entries[i] = netsim.SampleEntry{Key: fmt.Sprintf("sample-key-%d", i), Hash: float64(i+1) / 65}
+	}
+	raw := encodeFrames(t, Frame{Type: FrameSample, Entries: entries})
+	r := bytes.NewReader(raw)
+	c := newBinConn(r, io.Discard)
+	var f Frame
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(raw)
+		f = Frame{} // fresh, as SyncClient.Query's is
+		if err := c.ReadFrame(&f); err != nil || len(f.Entries) != len(entries) {
+			t.Fatalf("decoded %d entries, err %v; want %d", len(f.Entries), err, len(entries))
+		}
+	})
+	if allocs > float64(len(entries)+1) {
+		t.Fatalf("decoding a %d-entry sample frame allocates %.1f times, want at most %d (the keys and one slice)",
+			len(entries), allocs, len(entries)+1)
+	}
+}
+
 // BenchmarkTransport compares batch sizes and credit windows on the raw offer
 // path: one request/response per offer versus frames batching 16 or 64
 // offers, with one frame or a deeper window of frames in flight. The trace

@@ -124,14 +124,16 @@ var nameToBin = map[string]byte{
 // frameConn reads and writes protocol frames over one transport. A
 // connection is used by at most one reading and one writing goroutine at a
 // time (a site client reads replies from a dedicated goroutine while the
-// caller writes); each side owns its own buffer.
+// caller writes, and a server's push writer takes the write side under a
+// lock it shares with the serve loop); each side owns its own buffer.
 //
 // WriteFrame may buffer; Flush pushes everything buffered to the wire.
 // Callers must Flush before blocking on a response. The site client's writer
 // uses this to coalesce frames into one syscall: it flushes a batch frame at
 // once only when no flushed frame awaits its ack, and otherwise holds it
-// until that ack returns or until it must wait for credits. A buffer that
-// reaches connBufMax writes through without a Flush.
+// until that ack returns or until it must wait for credits. The server
+// flushes its replies once no whole frame waits to be read (inputWaiting). A
+// buffer that reaches connBufMax writes through without a Flush.
 type frameConn interface {
 	ReadFrame(f *Frame) error
 	WriteFrame(f *Frame) error
@@ -141,8 +143,17 @@ type frameConn interface {
 // FrameConn is the exported face of the transport seam: anything that reads
 // and writes protocol frames. Middleware that wraps connections — the
 // faultnet fault injector foremost — implements and consumes this interface;
-// DialSyncWrap and ServeMemWrap thread a wrapper into real connections.
+// DialSyncWrap and NewMemSyncWrap thread a wrapper into real connections.
 type FrameConn = frameConn
+
+// inputWaiting reports whether a whole frame already waits to be read on fc,
+// so that its next ReadFrame returns without waiting for the peer. binConn
+// and MemConn can tell; any other frameConn, such as a middleware wrapper,
+// answers no, and a server serving it flushes after every frame.
+func inputWaiting(fc frameConn) bool {
+	w, ok := fc.(interface{ inputWaiting() bool })
+	return ok && w.inputWaiting()
+}
 
 // A connection's two buffers start at connBufInit, which holds a read
 // dialogue's frames at small s (a 64-entry sample frame is about 2 KB), and
@@ -156,8 +167,8 @@ const (
 )
 
 // binConn is the length-prefixed binary transport over a stream connection.
-// It owns one buffer per direction, each touched by one goroutine only: a
-// site client reads from a dedicated goroutine while the writer keeps
+// It owns one buffer per direction, each touched by one goroutine at a time:
+// a site client reads from a dedicated goroutine while the writer keeps
 // encoding, and neither side reallocates once warm.
 //
 // WriteFrame encodes each frame in place at the end of wbuf, the frames not
@@ -167,8 +178,9 @@ const (
 //
 // ReadFrame reads into rbuf and decodes the payload where it lies. Every
 // decoded string and State is copied out, so nothing aliases the buffer.
-// rbuf grows to fit the largest frame, and doubles, up to connBufMax, while
-// a read fills it. A stream that ends between frames reads io.EOF; one that
+// rbuf grows only as bytes arrive: it doubles, up to connBufMax, while a read
+// fills it, and a larger frame whose bytes fill it grows it on to the frame's
+// length (see fill). A stream that ends between frames reads io.EOF; one that
 // ends inside a frame reads io.ErrUnexpectedEOF.
 type binConn struct {
 	r io.Reader
@@ -317,20 +329,41 @@ func (c *binConn) WriteFrame(f *Frame) error {
 }
 
 // fill reads until rbuf holds at least need undecoded bytes. It first moves
-// the undecoded bytes to the front of a buffer that fits need, doubled if
-// the last read filled it, so each read takes as much as the buffer holds.
+// the undecoded bytes to the front of rbuf, doubled if the last read filled
+// it, so each read takes as much as the buffer holds. A frame larger than
+// rbuf grows it only once the bytes that arrived fill it: to connBufMax at
+// once, and past that by doubling, up to the frame's length. So the buffer
+// grows with what the peer has sent, never to what a length prefix
+// announces.
 func (c *binConn) fill(need int) error {
-	have := c.rend - c.rpos
-	if have >= need {
+	if c.rend-c.rpos >= need {
 		return nil
 	}
 	size := len(c.rbuf)
 	if c.rend == size && size < connBufMax { // the last read filled rbuf
 		size = min(2*size, connBufMax)
 	}
-	if size < need {
-		size = need
+	c.resize(size)
+	for c.rend < need {
+		if c.rend == len(c.rbuf) {
+			c.resize(min(max(2*len(c.rbuf), connBufMax), need))
+		}
+		n, err := c.r.Read(c.rbuf[c.rend:])
+		c.rend += n
+		if err != nil && c.rend < need {
+			if err == io.EOF && c.rend > 0 {
+				err = io.ErrUnexpectedEOF // the stream ended inside a frame
+			}
+			return err
+		}
 	}
+	return nil
+}
+
+// resize moves the undecoded bytes to the front of a read buffer of size
+// bytes, a new one when size exceeds rbuf's.
+func (c *binConn) resize(size int) {
+	have := c.rend - c.rpos
 	if size > len(c.rbuf) {
 		buf := make([]byte, size)
 		copy(buf, c.rbuf[c.rpos:c.rend])
@@ -339,12 +372,13 @@ func (c *binConn) fill(need int) error {
 		copy(c.rbuf, c.rbuf[c.rpos:c.rend])
 	}
 	c.rpos, c.rend = 0, have
-	n, err := io.ReadAtLeast(c.r, c.rbuf[have:], need-have)
-	c.rend += n
-	if err == io.EOF && have > 0 {
-		err = io.ErrUnexpectedEOF // the stream ended inside a frame
-	}
-	return err
+}
+
+// inputWaiting reports whether a whole frame waits in the read buffer, so
+// that the next ReadFrame returns without reading the connection.
+func (c *binConn) inputWaiting() bool {
+	have := c.rend - c.rpos
+	return have >= 4 && have >= 4+int(binary.LittleEndian.Uint32(c.rbuf[c.rpos:]))
 }
 
 func (c *binConn) ReadFrame(f *Frame) error {
@@ -406,6 +440,11 @@ func (c *binConn) ReadFrame(f *Frame) error {
 			return err
 		}
 		if count > 0 {
+			// One slice of the bounded count, where appending to a fresh
+			// frame's would reallocate about log2(count) times.
+			if uint64(cap(entries)) < count {
+				entries = make([]netsim.SampleEntry, 0, count)
+			}
 			f.Entries = entries
 		}
 		for i := uint64(0); i < count && d.err == nil; i++ {

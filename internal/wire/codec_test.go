@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/iotest"
@@ -110,11 +111,13 @@ func decodeAll(c *binConn) ([]Frame, error) {
 	}
 }
 
-// writeRecorder counts the Write calls it takes. Each call accepts at most
-// accept bytes (all when accept < 0) and returns err.
+// writeRecorder counts the Write calls it takes and keeps the bytes it
+// accepts. Each call accepts at most accept bytes (all when accept < 0) and
+// returns err.
 type writeRecorder struct {
 	accept, calls, written int
 	err                    error
+	got                    bytes.Buffer
 }
 
 func (w *writeRecorder) Write(p []byte) (int, error) {
@@ -124,6 +127,7 @@ func (w *writeRecorder) Write(p []byte) (int, error) {
 		n = w.accept
 	}
 	w.written += n
+	w.got.Write(p[:n])
 	return n, w.err
 }
 
@@ -208,6 +212,24 @@ func TestConnBuffers(t *testing.T) {
 		}
 		if !bytes.Equal(core.EncodeState(st), encoded) {
 			t.Fatalf("a %d B state did not round-trip", len(encoded))
+		}
+	})
+
+	t.Run("announced, not sent", func(t *testing.T) {
+		// A length prefix announces a frame of nearly maxFrameSize and the
+		// stream ends there: the read buffer grows with the bytes that
+		// arrived, not with the announced length.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := newBinConn(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0x00}), io.Discard)
+		var f Frame
+		err := c.ReadFrame(&f)
+		runtime.ReadMemStats(&after)
+		if err != io.ErrUnexpectedEOF {
+			t.Fatalf("the stream ended in %v, want io.ErrUnexpectedEOF", err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+			t.Fatalf("a 4-byte stream allocated %d B, want under %d", n, 64<<10)
 		}
 	})
 

@@ -114,6 +114,14 @@ func (q *memQueue) close() {
 // ReadFrame implements frameConn.
 func (c *MemConn) ReadFrame(f *Frame) error { return c.read.pop(f) }
 
+// inputWaiting reports whether a frame waits to be read, so that the next
+// ReadFrame returns without waiting.
+func (c *MemConn) inputWaiting() bool {
+	c.read.mu.Lock()
+	defer c.read.mu.Unlock()
+	return len(c.read.frames) > 0
+}
+
 // WriteFrame implements frameConn. Delivery is immediate (there is no
 // encode buffer), so Flush is a no-op.
 func (c *MemConn) WriteFrame(f *Frame) error { return c.write.push(f) }
@@ -132,8 +140,8 @@ func (c *MemConn) Close() error {
 
 // ServeMem attaches a new in-memory connection to the server and returns the
 // client end. The connection is served exactly like an accepted TCP one —
-// same dispatch loop, same read pump, force-closed by Close — only the
-// socket and the encoding are skipped.
+// by the same serve loop, which flushes once no frame waits in the pipe, and
+// force-closed by Close — only the socket and the encoding are skipped.
 func (s *CoordinatorServer) ServeMem() *MemConn {
 	client, server := newMemPipe()
 	// Track and count the handler in one critical section: the wg.Add must

@@ -128,8 +128,9 @@ type Frame struct {
 	errCode byte
 	// decodeStart/decodeEnd bound the wall-clock window ReadFrame spent
 	// decoding this frame. Stamped only while tracing is enabled (and left
-	// zero otherwise); the dispatch loop turns them into the coord_decode
-	// span. Unexported: per-process measurement, never serialized.
+	// zero otherwise); the server's serve loop turns a batch frame's into the
+	// coord_decode span. Unexported: per-process measurement, never
+	// serialized.
 	decodeStart, decodeEnd int64
 }
 
@@ -224,8 +225,10 @@ type CoordinatorServer struct {
 	leaseLapsed   bool  // edge detector: first fenced offer after expiry logs once
 	// Per-connection route-push mailboxes, registered at hello (only site
 	// connections receive pushes; sync and query dialogues would misparse
-	// them) and drained by each connection's dispatch loop.
-	pushConns map[chan *Frame]struct{}
+	// them). Each is drained by a push writer that PushRoute starts at the
+	// connection's first push and that shares the connection's write side
+	// with its serve loop.
+	pushConns map[*pushBox]struct{}
 	// Per-shard observability hooks, attached by the replica/cluster layer
 	// (SetShardObs) once the server's slot identity is known: offers counts
 	// dispatched offer messages, churn counts reply messages (each reply is
@@ -248,7 +251,7 @@ func NewCoordinatorServer(node netsim.CoordinatorNode) *CoordinatorServer {
 	return &CoordinatorServer{
 		node:      node,
 		conns:     make(map[io.Closer]struct{}),
-		pushConns: make(map[chan *Frame]struct{}),
+		pushConns: make(map[*pushBox]struct{}),
 	}
 }
 
@@ -379,27 +382,77 @@ func (s *CoordinatorServer) LeaseValid() bool {
 // connection that has completed the hello handshake), returning how many
 // mailboxes accepted it. Delivery is best-effort — a site whose mailbox is
 // full misses this push and recovers through the stale-route NACK path —
-// and the frame's version fence makes re-delivery harmless.
+// and the frame's version fence makes re-delivery harmless. It never blocks:
+// a connection's push writer, started here at its first push, writes the
+// frame as soon as the connection's write side is free, even while the site
+// sends nothing.
 func (s *CoordinatorServer) PushRoute(f *Frame) int {
-	s.mu.Lock()
-	targets := make([]chan *Frame, 0, len(s.pushConns))
-	for ch := range s.pushConns {
-		targets = append(targets, ch)
-	}
-	s.mu.Unlock()
 	n := 0
-	for _, ch := range targets {
+	s.mu.Lock()
+	for box := range s.pushConns {
 		g := copyFrame(f)
 		select {
-		case ch <- &g:
+		case box.mail <- &g:
 			n++
+			if !box.started {
+				box.started = true
+				box.wg.Add(1)
+				go box.write()
+			}
 		default: // mailbox full; the fence makes skipping safe
 		}
 	}
+	s.mu.Unlock()
 	if n > 0 {
 		obsRoutePushes.Add(uint64(n))
 	}
 	return n
+}
+
+// pushMailbox is how many route pushes wait for a site connection's push
+// writer before PushRoute skips the connection. A reshard pushes once per
+// table, and a site that misses a push recovers through the stale-route
+// NACK, so a few pushes of slack are enough.
+const pushMailbox = 8
+
+// pushBox is a site connection's route-push mailbox and the write side its
+// push writer shares with the connection's serve loop: both write and flush
+// through the box, under mu, so frames never interleave, and a push leaves
+// with whatever replies the loop has buffered ahead of it.
+type pushBox struct {
+	frameConn
+	mu sync.Mutex
+	// mail is sent to by PushRoute and closed by the serve loop once the box
+	// is out of pushConns, both under CoordinatorServer.mu.
+	mail    chan *Frame
+	started bool // the push writer runs; guarded by CoordinatorServer.mu
+	wg      sync.WaitGroup
+}
+
+func (b *pushBox) WriteFrame(f *Frame) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.frameConn.WriteFrame(f)
+}
+
+func (b *pushBox) Flush() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.frameConn.Flush()
+}
+
+// write is the push writer: it writes and flushes each mailed frame until the
+// serve loop closes the mailbox or a write fails.
+func (b *pushBox) write() {
+	defer b.wg.Done()
+	for f := range b.mail {
+		b.mu.Lock()
+		err := writeFlush(b.frameConn, f)
+		b.mu.Unlock()
+		if err != nil {
+			return
+		}
+	}
 }
 
 // leaseFenceLocked checks the lease fence of the offer path, returning the
@@ -562,84 +615,54 @@ func (s *CoordinatorServer) handle(conn net.Conn) {
 	s.serve(fc, conn)
 }
 
-// serve runs the dispatch loop of one connection over any frameConn backend
-// (TCP or in-memory). closeConn force-closes the underlying transport, which
-// must unblock a pending ReadFrame.
-//
-// Each connection runs two goroutines: a read pump that decodes frames and a
-// dispatch loop (this function) that runs the coordinator and writes replies.
-// Decoding frame N+1 thus overlaps dispatching frame N — for sites streaming
-// batches, decode would otherwise serialize with the coordinator's work and
-// cap ingest. A small fixed ring of Frame buffers circulates between the two
-// goroutines, preserving order and reusing decoded slice capacity.
+// serve runs one connection over any frameConn backend (TCP or in-memory)
+// on one goroutine: it reads a frame into one reused Frame, dispatches it,
+// and writes its reply into the connection's write buffer. It flushes only
+// once no whole frame waits to be read, so a site streaming a window of batch
+// frames gets all their replies frames in one write: the coordinator's half
+// of the site's Nagle rule (see pipeline). closeConn force-closes the
+// underlying transport, which fails a push writer's pending write.
 func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 	siteID := -1
 
-	// Route-push mailbox: registered once the connection identifies itself as
-	// a site (hello), drained by the dispatch loop below between inbound
-	// frames. Sync and query dialogues never send hello, so they never see a
-	// push frame mid-exchange.
-	pushCh := make(chan *Frame, 8)
-	pushRegistered := false
+	// w is the connection's write side: fc until hello registers the site's
+	// route-push mailbox, then the mailbox, whose push writer shares it.
+	// Sync and query dialogues never send hello, so they never see a push
+	// frame mid-exchange.
+	var (
+		w   frameConn = fc
+		box *pushBox
+	)
 	defer func() {
-		if pushRegistered {
+		if box != nil {
 			s.mu.Lock()
-			delete(s.pushConns, pushCh)
+			delete(s.pushConns, box)
+			close(box.mail)
 			s.mu.Unlock()
 		}
-	}()
-
-	const frameRing = 3
-	frames := make(chan *Frame, frameRing-1) // decoded, in arrival order
-	free := make(chan *Frame, frameRing)     // recycled buffers
-	for i := 0; i < frameRing; i++ {
-		free <- new(Frame)
-	}
-	done := make(chan struct{})
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		defer close(frames)
-		for {
-			var f *Frame
-			select {
-			case f = <-free:
-			case <-done:
-				return
-			}
-			if err := fc.ReadFrame(f); err != nil {
-				return // connection closed or garbage; drop the site
-			}
-			select {
-			case frames <- f:
-			case <-done:
-				return
-			}
+		closeConn.Close() // fails a push writer's pending write
+		if box != nil {
+			box.wg.Wait()
 		}
-	}()
-	defer func() {
-		close(done)
-		closeConn.Close() // unblocks a read pump stuck in ReadFrame
-		<-readerDone
 	}()
 
 	// Per-connection scratch, reused across frames so the steady-state ingest
-	// loop performs no per-frame allocations beyond decoded keys: one write
-	// frame, one reply accumulator, one coordinator outbox.
+	// loop performs no per-frame allocations beyond decoded keys: one read
+	// frame, one write frame, one reply accumulator, one coordinator outbox.
 	var (
 		err     error
-		resp    Frame
+		f, resp Frame
 		replies []netsim.Message
 		out     netsim.Outbox
 	)
 	// Replies frames carry cumulative acks: Seq s acknowledges every batch up
-	// to and including s. When a client is running ahead (more input already
-	// buffered) and a batch produced no replies, the ack is deferred and
-	// folded into the next one, so a quiet ingest stream costs the
-	// coordinator roughly one reply frame per drained window instead of one
-	// per batch. ackDeferred/deferredSeq track the deferral; any non-batch
-	// frame forces the pending ack out first to preserve ordering for clients
-	// that interleave.
+	// to and including s. When a client is running ahead (its next frame
+	// already waits to be read) and a batch produced no replies, the ack is
+	// deferred and folded into the next one, so a quiet ingest stream costs
+	// the coordinator roughly one reply frame per drained window instead of
+	// one per batch. ackDeferred/deferredSeq track the deferral; any
+	// non-batch frame forces the pending ack out first to preserve ordering
+	// for clients that interleave.
 	ackDeferred := false
 	var deferredSeq uint64
 	flushAck := func() error {
@@ -648,33 +671,25 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 		}
 		ackDeferred = false
 		ack := Frame{Type: FrameReplies, Seq: deferredSeq}
-		return fc.WriteFrame(&ack)
+		return w.WriteFrame(&ack)
 	}
 	for {
-		var f *Frame
-		select {
-		case pf := <-pushCh:
-			if err := writeFlush(fc, pf); err != nil {
-				return
-			}
-			continue
-		case f = <-frames:
-		}
-		if f == nil {
-			return // frames closed: connection done
+		if err := fc.ReadFrame(&f); err != nil {
+			return // connection closed or garbage; drop the site
 		}
 		switch f.Type {
 		case FrameHello:
-			if ef := s.helloRefusal(f); ef != nil {
-				_ = writeFlush(fc, ef)
+			if ef := s.helloRefusal(&f); ef != nil {
+				_ = writeFlush(w, ef)
 				return
 			}
 			siteID = f.Site
-			if !pushRegistered {
+			if box == nil {
+				b := &pushBox{frameConn: fc, mail: make(chan *Frame, pushMailbox)}
 				s.mu.Lock()
 				if !s.closing {
-					s.pushConns[pushCh] = struct{}{}
-					pushRegistered = true
+					s.pushConns[b] = struct{}{}
+					box, w = b, b
 				}
 				s.mu.Unlock()
 			}
@@ -684,12 +699,9 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			if err := flushAck(); err != nil {
 				return
 			}
-			if err := fc.Flush(); err != nil {
-				return
-			}
 		case FrameBatch:
 			if siteID < 0 {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "batch before hello"})
+				_ = writeFlush(w, &Frame{Type: FrameError, Error: "batch before hello"})
 				return
 			}
 			// One lock acquisition covers the whole batch: this is the ingest
@@ -728,7 +740,7 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 				if leaseFenced {
 					code = errLeaseLapsed
 				}
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: nack, errCode: code})
+				_ = writeFlush(w, &Frame{Type: FrameError, Error: nack, errCode: code})
 				return
 			}
 			for i := range f.Batch {
@@ -750,15 +762,14 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 				obs.StageSpan(tc, obs.StageCoordOffer, stageT, nowNanos())
 			}
 			if err != nil {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: err.Error()})
+				_ = writeFlush(w, &Frame{Type: FrameError, Error: err.Error()})
 				return
 			}
-			if len(replies) == 0 && len(frames) > 0 {
-				// The client is ahead (the read pump already decoded the
-				// next frame) and has nothing to learn from this batch:
-				// fold the ack into a later replies frame.
+			if len(replies) == 0 && inputWaiting(fc) {
+				// The client is ahead (its next frame already waits) and has
+				// nothing to learn from this batch: fold the ack into a later
+				// replies frame.
 				ackDeferred, deferredSeq = true, f.Seq
-				free <- f
 				continue
 			}
 			// Echo the batch's sequence number; this frame cumulatively acks
@@ -768,7 +779,7 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			if tc.Sampled() {
 				resp.SetTrace(tc.Child())
 			}
-			if err := writeFlush(fc, &resp); err != nil {
+			if err := w.WriteFrame(&resp); err != nil {
 				return
 			}
 		case FrameQuery:
@@ -780,7 +791,7 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 				return
 			}
 			resp = Frame{Type: FrameSample, Entries: entries}
-			if err := writeFlush(fc, &resp); err != nil {
+			if err := w.WriteFrame(&resp); err != nil {
 				return
 			}
 		case FramePromote:
@@ -815,7 +826,7 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			if err := flushAck(); err != nil {
 				return
 			}
-			if err := writeFlush(fc, &resp); err != nil {
+			if err := w.WriteFrame(&resp); err != nil {
 				return
 			}
 		case FrameLeaseRenew:
@@ -843,7 +854,7 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			if err := flushAck(); err != nil {
 				return
 			}
-			if err := writeFlush(fc, &resp); err != nil {
+			if err := w.WriteFrame(&resp); err != nil {
 				return
 			}
 		case FrameRouteUpdate:
@@ -860,13 +871,13 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			// candidate store included.
 			sn, ok := s.node.(core.Snapshotter)
 			if !ok {
-				_ = writeFlush(fc, notSnapshottableFrame(f.Type))
+				_ = writeFlush(w, notSnapshottableFrame(f.Type))
 				return
 			}
 			s.mu.Lock()
 			if s.routeHash == nil {
 				s.mu.Unlock()
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "route-update: no routing hash configured on this coordinator"})
+				_ = writeFlush(w, &Frame{Type: FrameError, Error: "route-update: no routing hash configured on this coordinator"})
 				return
 			}
 			fenced := f.Seq <= s.routeVer
@@ -880,7 +891,7 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 				keep := func(key string) bool { return routeInRange(s.routeHash(key), f.Lo, f.Hi) }
 				if err := sn.Restore(core.FilterState(sn.Snapshot(), keep)); err != nil {
 					s.mu.Unlock()
-					_ = writeFlush(fc, &Frame{Type: FrameError, Error: "route-update: " + err.Error()})
+					_ = writeFlush(w, &Frame{Type: FrameError, Error: "route-update: " + err.Error()})
 					return
 				}
 				s.mutations++
@@ -894,7 +905,7 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			if err := flushAck(); err != nil {
 				return
 			}
-			if err := writeFlush(fc, &resp); err != nil {
+			if err := w.WriteFrame(&resp); err != nil {
 				return
 			}
 		case FrameState:
@@ -909,12 +920,12 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			// frame must not roll a newer state back).
 			sn, ok := s.node.(core.Snapshotter)
 			if !ok {
-				_ = writeFlush(fc, notSnapshottableFrame(f.Type))
+				_ = writeFlush(w, notSnapshottableFrame(f.Type))
 				return
 			}
 			st, derr := core.DecodeState(f.State)
 			if derr != nil {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "state-frame: " + derr.Error()})
+				_ = writeFlush(w, &Frame{Type: FrameError, Error: "state-frame: " + derr.Error()})
 				return
 			}
 			tc := f.Trace()
@@ -930,7 +941,7 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			if !fenced && (!s.synced || f.Seq >= s.syncSeq) {
 				if err := sn.Restore(st); err != nil {
 					s.mu.Unlock()
-					_ = writeFlush(fc, &Frame{Type: FrameError, Error: "state-frame: " + err.Error()})
+					_ = writeFlush(w, &Frame{Type: FrameError, Error: "state-frame: " + err.Error()})
 					return
 				}
 				s.syncSeq, s.synced = f.Seq, true
@@ -951,7 +962,7 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			if err := flushAck(); err != nil {
 				return
 			}
-			if err := writeFlush(fc, &resp); err != nil {
+			if err := w.WriteFrame(&resp); err != nil {
 				return
 			}
 		case FrameStateHandoff:
@@ -970,18 +981,18 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			// shard no longer owns.
 			sn, ok := s.node.(core.Snapshotter)
 			if !ok {
-				_ = writeFlush(fc, notSnapshottableFrame(f.Type))
+				_ = writeFlush(w, notSnapshottableFrame(f.Type))
 				return
 			}
 			incoming, derr := core.DecodeState(f.State)
 			if derr != nil {
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "state-handoff: " + derr.Error()})
+				_ = writeFlush(w, &Frame{Type: FrameError, Error: "state-handoff: " + derr.Error()})
 				return
 			}
 			s.mu.Lock()
 			if s.routeHash == nil {
 				s.mu.Unlock()
-				_ = writeFlush(fc, &Frame{Type: FrameError, Error: "state-handoff: no routing hash configured on this coordinator"})
+				_ = writeFlush(w, &Frame{Type: FrameError, Error: "state-handoff: no routing hash configured on this coordinator"})
 				return
 			}
 			fenced := f.Seq < s.routeVer
@@ -993,7 +1004,7 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 				}
 				if merr != nil {
 					s.mu.Unlock()
-					_ = writeFlush(fc, &Frame{Type: FrameError, Error: "state-handoff: " + merr.Error()})
+					_ = writeFlush(w, &Frame{Type: FrameError, Error: "state-handoff: " + merr.Error()})
 					return
 				}
 				s.mutations++
@@ -1007,7 +1018,7 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			if err := flushAck(); err != nil {
 				return
 			}
-			if err := writeFlush(fc, &resp); err != nil {
+			if err := w.WriteFrame(&resp); err != nil {
 				return
 			}
 		case FrameSnapshot:
@@ -1016,7 +1027,7 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			// the server's epoch, sync sequence, and slot clock.
 			sn, ok := s.node.(core.Snapshotter)
 			if !ok {
-				_ = writeFlush(fc, notSnapshottableFrame(f.Type))
+				_ = writeFlush(w, notSnapshottableFrame(f.Type))
 				return
 			}
 			s.mu.Lock()
@@ -1027,14 +1038,18 @@ func (s *CoordinatorServer) serve(fc frameConn, closeConn io.Closer) {
 			if err := flushAck(); err != nil {
 				return
 			}
-			if err := writeFlush(fc, &resp); err != nil {
+			if err := w.WriteFrame(&resp); err != nil {
 				return
 			}
 		default:
-			_ = writeFlush(fc, &Frame{Type: FrameError, Error: "unknown frame type " + f.Type})
+			_ = writeFlush(w, &Frame{Type: FrameError, Error: "unknown frame type " + f.Type})
 			return
 		}
-		free <- f
+		if !inputWaiting(fc) {
+			if err := w.Flush(); err != nil {
+				return
+			}
+		}
 	}
 }
 
